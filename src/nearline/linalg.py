@@ -1,4 +1,4 @@
-"""Shared numerical helpers: symmetric eigensolves, sign fixing, PCA bases."""
+"""Shared numerical helpers: symmetric eigensolves, sign fixing, row-space bases."""
 
 from __future__ import annotations
 
@@ -30,24 +30,21 @@ def sym_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(sym)
 
 
-def pca_basis(features: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal basis of the top-k principal directions of ``features``.
+def row_space(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of ``features`` in the span of its centered rows.
 
-    The rows are locally mean-centered before the SVD, so the result does not
-    depend on whether the caller centered already.  When k exceeds the number
-    of right singular vectors available, the basis is completed with
-    deterministic orthonormal directions.
+    One thin SVD of the column-centered rows, ``Xc = U S V^T``.  Singular
+    values at or below ``S[0] * max(n, d) * eps`` are dropped, leaving rank r.
+    Returns ``(Z, V_r)``: ``V_r`` (d x r) holds the principal directions in
+    decreasing order of variance, oriented, and ``Z = features @ V_r``
+    (n x r).  Every difference of two rows lies in the span of ``V_r``, so
+    ``features @ (V_r @ B)`` equals ``Z @ B`` for any r-row matrix B.
     """
     X = np.asarray(features, dtype=float)
-    n, d = X.shape
-    if not 1 <= k <= d:
-        raise ValueError(f"pca basis size must be in [1, {d}], got {k}")
-    Xc = X - X.mean(axis=0)
-    _, _, Vt = np.linalg.svd(Xc, full_matrices=False)
-    V = Vt.T
-    if V.shape[1] < k:
-        V = complete_basis(V, k)
-    return orient_columns(V[:, :k])
+    _, S, Vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    tol = S[0] * max(X.shape) * np.finfo(float).eps if S.size else 0.0
+    V_r = orient_columns(Vt[S > tol].T)
+    return X @ V_r, V_r
 
 
 def complete_basis(V: np.ndarray, k: int) -> np.ndarray:
@@ -70,4 +67,5 @@ def complete_basis(V: np.ndarray, k: int) -> np.ndarray:
         norm = np.linalg.norm(e)
         if norm > 1e-8:
             cols.append(e / norm)
-    return np.column_stack(cols[:k])
+    # column-major, the layout a model file's projection_columns load into
+    return np.array(cols[:k]).T

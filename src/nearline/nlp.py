@@ -6,6 +6,12 @@ two steps: assemble the scatter operator for the current W (the line
 coefficients depend on the projected coordinates), then replace W by the
 eigenvectors at the extreme end of the spectrum.  The neighbor/line index is
 built once, from input-space distances, and never rebuilt.
+
+Every residual is a combination of differences of training rows, so the
+scatter operator lives in the span of the centered training data, of rank
+r <= n - 1.  Training therefore runs in that row space: one SVD per fit gives
+the n x r coordinates the loop works on, and the learned update is lifted
+back to the input space once, at the end.  No d x d matrix is built.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from nearline.data import Dataset, center
 from nearline.geometry import DEGENERACY_RTOL
-from nearline.linalg import orient_columns, pca_basis, sym_eigh
+from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 
 log = logging.getLogger(__name__)
 
@@ -238,11 +244,15 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
 
     The data is mean-centered first (unless ``config.center`` is false or the
     dataset is centered already) and the neighbor/line index is built once
-    from input-space distances.  Each iteration assembles the scatter
-    operator under the current W, replaces W through the eigen step, and
-    records the objective of the new W; training stops when the relative
-    objective change drops below ``rel_tol`` or after ``max_iters``
-    iterations.
+    from input-space distances.  The loop runs on the row-space coordinates
+    ``Z = X V_r`` (see ``linalg.row_space``), where ``X W`` equals
+    ``Z (V_r^T W)``: each iteration assembles the r x r scatter operator under
+    the current projection, replaces the projection through the eigen step,
+    and records the objective of the new one; training stops when the
+    relative objective change drops below ``rel_tol`` or after ``max_iters``
+    iterations.  The result ``V_r W_z`` is completed with deterministic
+    directions orthogonal to the training rows when ``d_prime`` exceeds r.
+    Data with a single distinct row (r = 0) is already at the zero objective.
     """
     n, d = dataset.n, dataset.d
     if config.K > n - 1:
@@ -259,26 +269,28 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
     else:
         ds = dataset
         mean_vector = np.zeros(d)
-    X = ds.features
 
+    Z, V = row_space(ds.features)
+    r = V.shape[1]
     if config.init == "pca":
-        W = pca_basis(X, config.d_prime)
+        W = orient_columns(complete_basis(V, config.d_prime))
     else:
         W = np.eye(d)[:, : config.d_prime]
+    W_z = V.T @ W
 
     index = build_neighbor_lines(ds, config.K)
 
-    objective_prev = objective(ds, index, W)
+    objective_prev = objective(Z, index, W_z)
     if not np.isfinite(objective_prev):
         raise ValueError(f"non-finite objective at initialization: {objective_prev}")
-    if config.max_iters == 0:
+    if config.max_iters == 0 or r == 0:
         return TrainedModel(
             projection=W,
             mean_vector=np.array(mean_vector, dtype=float),
             config=config,
             objective_trace=[objective_prev],
             iterations_run=0,
-            converged=False,
+            converged=r == 0,
         )
 
     trace: list[float] = []
@@ -286,13 +298,13 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
     converged = False
     iterations = 0
     for t in range(1, config.max_iters + 1):
-        L = assemble_scatter(ds, index, W)
-        trace_old = float(np.trace(W.T @ L @ W))
-        W = eigen_step(L, config.d_prime, config.eigen_order)
-        trace_new = float(np.trace(W.T @ L @ W))
+        L = assemble_scatter(Z, index, W_z)
+        trace_old = float(np.trace(W_z.T @ L @ W_z))
+        W_z = eigen_step(L, min(config.d_prime, r), config.eigen_order)
+        trace_new = float(np.trace(W_z.T @ L @ W_z))
         step_traces.append((trace_old, trace_new))
 
-        value = objective(ds, index, W)
+        value = objective(Z, index, W_z)
         if not np.isfinite(value):
             raise ValueError(f"non-finite objective at iteration {t}: {value}")
         trace.append(value)
@@ -305,7 +317,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
         log.debug("iteration %d: objective %.6e (rel change %.3e)", t, value, rel_change)
 
     return TrainedModel(
-        projection=W,
+        projection=orient_columns(complete_basis(V @ W_z, config.d_prime)),
         mean_vector=np.array(mean_vector, dtype=float),
         config=config,
         objective_trace=trace,

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import nearline.nlp
 from nearline.data import Dataset, center
 from nearline.geometry import DegenerateLineError, point_line_sqdist
+from nearline.linalg import sym_eigh
 from nearline.nlp import (
     TrainConfig,
     assemble_scatter,
@@ -302,10 +306,106 @@ class TestTrain:
         with pytest.raises(ValueError, match="d_prime must be <="):
             train(ds, TrainConfig(K=3, d_prime=9))
 
+    def test_identical_rows_train_to_zero_objective(self):
+        # rank 0: the centered rows vanish and every line is degenerate
+        ds = Dataset(np.full((6, 4), 2.5), np.zeros(6, dtype=int))
+        model = train(ds, TrainConfig(K=3, d_prime=3))
+        W = model.projection
+        assert np.abs(W.T @ W - np.eye(3)).max() < 1e-12
+        assert model.objective_trace[-1] == 0.0
+        assert model.converged
+
+    def test_eigensolves_stay_in_row_space(self, monkeypatch):
+        n, d = 30, 3000
+        shapes = []
+
+        def spy(M):
+            shapes.append(np.shape(M))
+            return sym_eigh(M)
+
+        monkeypatch.setattr(nearline.nlp, "sym_eigh", spy)
+        rng = np.random.default_rng(13)
+        train(random_dataset(rng, n, d), TrainConfig(K=4, d_prime=5, max_iters=3, rel_tol=0.0))
+        assert len(shapes) == 3
+        assert all(shape[0] <= n - 1 and shape[1] <= n - 1 for shape in shapes)
+
     def test_uncentered_training_disabled_centering(self):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=5)
         model = train(ds, TrainConfig(K=3, d_prime=2, center=False))
         assert np.array_equal(model.mean_vector, np.zeros(6))
+
+
+@st.composite
+def training_problems(draw):
+    """Small data sets of any rank, with d < n and d > n, some rows repeated."""
+    n = draw(st.integers(6, 14))
+    d = draw(st.integers(2, 24))
+    rank = draw(st.integers(1, min(n - 1, d)))
+    repeated = draw(st.integers(0, n // 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+    X[n - repeated :] = X[:repeated]
+    K = draw(st.integers(2, min(4, n - 1)))
+    # d_prime >= 2: any 1-D projection puts every point on every line, so
+    # both objectives are zero and the operators are pure rounding
+    d_prime = draw(st.integers(2, d))
+    max_iters = draw(st.integers(1, 3))
+    return Dataset(X, np.zeros(n, dtype=int)), K, d_prime, max_iters
+
+
+def step_is_well_posed(L, m):
+    """Whether the eigen step's choice is unique and well conditioned.
+
+    When the step must take directions from a null space of L inside the span
+    of the rows, every choice minimizes the trace and two exact paths may
+    pick different ones; a nearly null eigenvalue makes its eigenvector
+    sensitive to rounding.  So the spectrum must split into null eigenvalues
+    and clearly nonzero ones, with at least m of the latter.
+    """
+    vals = np.linalg.eigvalsh(L)
+    if vals.max() <= 0.0:
+        return False
+    rel = np.abs(vals) / vals.max()
+    nonzero = rel > 1e-6
+    return nonzero.sum() >= m and not np.any(~nonzero & (rel > 1e-12))
+
+
+def full_space_train(ds, K, d_prime, max_iters):
+    """Direct d x d loop from the top-d' principal directions (oracle)."""
+    X = center(ds).features
+    rank = np.linalg.matrix_rank(X)
+    index = build_neighbor_lines(X, K)
+    W = np.linalg.svd(X)[2][:d_prime].T
+    objectives, steps = [], []
+    for _ in range(max_iters):
+        L = assemble_scatter(X, index, W)
+        assume(step_is_well_posed(L, min(d_prime, rank)))
+        old = float(np.trace(W.T @ L @ W))
+        W = eigen_step(L, d_prime)
+        steps.append((old, float(np.trace(W.T @ L @ W))))
+        objectives.append(objective(X, index, W))
+    return objectives, steps
+
+
+class TestRowSpaceTraining:
+    @given(training_problems())
+    @settings(deadline=None, max_examples=100)
+    def test_matches_full_space_loop(self, problem):
+        ds, K, d_prime, max_iters = problem
+        model = train(ds, TrainConfig(K=K, d_prime=d_prime, max_iters=max_iters, rel_tol=0.0))
+        objectives, steps = full_space_train(ds, K, d_prime, max_iters)
+
+        assert model.objective_trace == pytest.approx(objectives, rel=1e-8)
+        assert np.ravel(model.step_traces) == pytest.approx(np.ravel(steps), rel=1e-8)
+
+        X = center(ds).features
+        W = model.projection
+        assert np.abs(W.T @ W - np.eye(d_prime)).max() < 1e-8
+        r = np.linalg.matrix_rank(X)
+        if d_prime > r:
+            scale = max(np.abs(X).max(), 1.0)
+            assert np.abs(X @ W[:, r:]).max() < 1e-8 * scale
 
 
 class TestProject:
