@@ -130,22 +130,29 @@ def load_csv(path, label_column="last") -> Dataset:
     fails to parse as a number, it is treated as column names.
     ``label_column`` selects the class-id column by name (requires a header),
     integer index, or the string "last".
+
+    The data rows are parsed in bulk by numpy.  Input the bulk parser
+    rejects or cannot vouch for (cells only Python's ``float`` accepts,
+    ragged rows, non-finite values, bad labels) goes through the
+    cell-by-cell parser, which accepts what ``float`` and ``int`` accept
+    and reports the row and column of anything else.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.rstrip("\n").rstrip("\r") for line in fh]
-    rows = [line.split(",") for line in raw if line.strip() != ""]
-    if not rows:
+        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+    lines = [line for line in lines if line.strip() != ""]
+    if not lines:
         raise DataFormatError(f"{path}: file contains no rows")
 
     header = None
-    if any(not _is_numeric(cell) for cell in rows[0]):
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-    if len(rows) < 2:
-        raise DataFormatError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    first = lines[0].split(",")
+    if any(not _is_numeric(cell) for cell in first):
+        header = [cell.strip() for cell in first]
+        lines = lines[1:]
+    if len(lines) < 2:
+        raise DataFormatError(f"{path}: need at least 2 data rows, got {len(lines)}")
 
-    width = len(rows[0])
+    width = lines[0].count(",") + 1
     if header is not None and len(header) != width:
         raise DataFormatError(f"{path}: header has {len(header)} columns, data rows have {width}")
 
@@ -165,9 +172,37 @@ def load_csv(path, label_column="last") -> Dataset:
     if not 0 <= label_idx < width:
         raise DataFormatError(f"{path}: label column index {label_idx} out of range for width {width}")
 
-    features = np.empty((len(rows), width - 1), dtype=float)
-    labels = np.empty(len(rows), dtype=np.int64)
-    for r, row in enumerate(rows):
+    parsed = _parse_bulk(lines, width, label_idx)
+    if parsed is None:
+        parsed = _parse_cells(path, lines, width, label_idx)
+    return Dataset(*parsed)
+
+
+def _parse_bulk(lines: list[str], width: int, label_idx: int):
+    """(features, labels) from numpy's parser, or None when the cell-by-cell
+    parser must decide."""
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    try:
+        labels = np.array([int(line.split(",")[label_idx]) for line in lines], dtype=np.int64)
+    except ValueError:
+        return None
+    if (labels < 0).any():
+        return None
+    return np.delete(table, label_idx, axis=1), labels
+
+
+def _parse_cells(path: Path, lines: list[str], width: int, label_idx: int):
+    """(features, labels) parsed one cell at a time with ``float``/``int``;
+    raises DataFormatError at the first bad row or cell."""
+    features = np.empty((len(lines), width - 1), dtype=float)
+    labels = np.empty(len(lines), dtype=np.int64)
+    for r, line in enumerate(lines):
+        row = line.split(",")
         if len(row) != width:
             raise DataFormatError(f"{path}: ragged row {r}: expected {width} cells, got {len(row)}")
         feat_col = 0
@@ -185,7 +220,7 @@ def load_csv(path, label_column="last") -> Dataset:
             else:
                 features[r, feat_col] = _parse_float(cell, r, c)
                 feat_col += 1
-    return Dataset(features, labels)
+    return features, labels
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -46,6 +46,22 @@ def is_degenerate_line(a, b) -> bool:
     return gap_sq < DEGENERACY_RTOL * scale
 
 
+def line_directions(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise line terms for arrays of endpoints ``A`` and ``B`` (m x d).
+
+    Returns ``(D, gap_sq, ok)``: the directions ``D = A - B``, their squared
+    norms, and the mask of lines that are not degenerate, the vectorised
+    negation of ``is_degenerate_line`` (``gap_sq >= DEGENERACY_RTOL *
+    max(1, |a|^2, |b|^2)`` per row).
+    """
+    D = A - B
+    gap_sq = np.einsum("ij,ij->i", D, D)
+    na = np.einsum("ij,ij->i", A, A)
+    nb = np.einsum("ij,ij->i", B, B)
+    ok = gap_sq >= DEGENERACY_RTOL * np.maximum(1.0, np.maximum(na, nb))
+    return D, gap_sq, ok
+
+
 def line_alpha(point, a, b) -> float:
     """Coefficient of the point on the line through ``a`` and ``b`` closest
     to ``point``.

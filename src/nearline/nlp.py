@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearline.data import Dataset, center
-from nearline.geometry import DEGENERACY_RTOL
+from nearline.geometry import line_directions
 from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 
 log = logging.getLogger(__name__)
@@ -157,12 +157,8 @@ def _line_terms(X: np.ndarray, W: np.ndarray, index: NeighborLineIndex):
     """
     Y = X @ W
     i_idx, j_idx, k_idx = index.flat_triples()
-    Djk = Y[j_idx] - Y[k_idx]
+    Djk, gap, ok = line_directions(Y[j_idx], Y[k_idx])
     Dik = Y[i_idx] - Y[k_idx]
-    gap = np.einsum("ij,ij->i", Djk, Djk)
-    nj = np.einsum("ij,ij->i", Y[j_idx], Y[j_idx])
-    nk = np.einsum("ij,ij->i", Y[k_idx], Y[k_idx])
-    ok = gap >= DEGENERACY_RTOL * np.maximum(1.0, np.maximum(nj, nk))
     alpha = np.zeros_like(gap)
     np.divide(np.einsum("ij,ij->i", Dik, Djk), gap, out=alpha, where=ok)
     skipped = int((~ok).sum())

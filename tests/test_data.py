@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nearline import data
 from nearline.data import (
     DataFormatError,
     Dataset,
@@ -100,6 +105,74 @@ class TestLoadCsv:
         loaded = load_csv(path, "last")
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
+
+
+@st.composite
+def csv_files(draw):
+    """A feature matrix and labels, and the text of a CSV file holding them:
+    optional header, label column anywhere, padded cells, CRLF or LF line
+    ends, blank lines."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 5))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    features = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)), dtype=np.int64)
+    label_col = draw(st.integers(0, d))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(f"c{c}" for c in range(d + 1)))
+    for row, label in zip(features.tolist(), labels.tolist()):
+        cells = [repr(v) for v in row]
+        cells.insert(label_col, str(label))
+        lines.append(",".join(draw(pad) + cell + draw(pad) for cell in cells))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    return features, labels, label_col, eol.join(lines) + eol
+
+
+def bits(a: np.ndarray) -> bytes:
+    """Exact bytes of a float array: tells -0.0 from 0.0."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestLoadCsvBulkParse:
+    @given(csv_files())
+    @settings(deadline=None, max_examples=100)
+    def test_bulk_and_cell_paths_agree_bit_for_bit(self, tmp_path_factory, case):
+        features, labels, label_col, text = case
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(data, "_parse_cells", side_effect=AssertionError("fell back")):
+            bulk = load_csv(path, label_col)
+        with mock.patch.object(data, "_parse_bulk", return_value=None):
+            cells = load_csv(path, label_col)
+        for ds in (bulk, cells):
+            assert bits(ds.features) == bits(features)
+            assert ds.labels.tolist() == labels.tolist()
+
+    def test_cells_only_python_parses_still_load(self, tmp_path):
+        path = write(tmp_path / "x.csv", "1_0,2,0\n\u0661,4,1_1\n")
+        ds = load_csv(path)
+        assert ds.features.tolist() == [[10.0, 2.0], [1.0, 4.0]]
+        assert ds.labels.tolist() == [0, 11]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,nan,0\n3,4,1\n", "non-finite value at row 0, column 1"),
+            ("1,2,0\n3,1e999,1\n", "non-finite value at row 1, column 1"),
+            ("1,2,0\n3,4\n", "ragged row 1: expected 3 cells, got 2"),
+            ("1,2,0\n3,4,1,5\n", "ragged row 1: expected 3 cells, got 4"),
+            ("1,2,0\n3,4,1.0\n", "label at row 1, column 2 is not an integer"),
+            ("1,2,0\n3,4,-2\n", "negative label at row 1, column 2"),
+        ],
+    )
+    def test_bad_files_keep_row_and_column_messages(self, tmp_path, text, message):
+        path = write(tmp_path / "x.csv", text)
+        with pytest.raises(DataFormatError, match=message):
+            load_csv(path)
 
 
 def make_pgm(path, width, height, maxval=255, binary=True, value=None):

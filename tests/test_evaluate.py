@@ -1,8 +1,13 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nearline import evaluate
 from nearline.baselines import BaselineConfig
 from nearline.data import Dataset, SplitSpec
 from nearline.evaluate import (
@@ -126,6 +131,147 @@ class TestClassifyNearestLine:
         labels = np.array([3, 8])
         assert classify_nearest_line(train, labels, np.array([1.0, 1.0]), "all_pairs") == 3
         assert classify_nearest_line(train, labels, np.array([9.0, 1.0]), "all_pairs") == 8
+
+
+def _oracle_is_decided(dists, keys, outcomes) -> bool:
+    """True when last-bit rounding cannot change the oracle's answer: every
+    candidate within 1e-9 (relative) of the best gives the same answer, or
+    every such candidate is the same geometry (duplicated rows), so it ties
+    exactly in any arithmetic and the order tie-break decides."""
+    best = min(dists)
+    near = [i for i, d in enumerate(dists) if d <= best * (1 + 1e-9) + 1e-12]
+    return len({outcomes[i] for i in near}) == 1 or len({keys[i] for i in near}) == 1
+
+
+def _1nn_is_decided(train, labels, q) -> bool:
+    dists = [float(np.sum((row - q) ** 2)) for row in train]
+    return _oracle_is_decided(dists, [row.tobytes() for row in train], list(labels))
+
+
+def _nearest_line_is_decided(train, labels, q, scope) -> bool:
+    dists, keys, outcomes = [], [], []
+    for j, k in itertools.combinations(range(len(train)), 2):
+        if scope == "within_class" and labels[j] != labels[k]:
+            continue
+        try:
+            dists.append(point_line_sqdist(q, train[j], train[k]))
+        except DegenerateLineError:
+            continue
+        keys.append((train[j].tobytes(), train[k].tobytes()))
+        dj = float(np.sum((q - train[j]) ** 2))
+        dk = float(np.sum((q - train[k]) ** 2))
+        outcomes.append(int(labels[j] if scope == "within_class" or dj <= dk else labels[k]))
+    return _oracle_is_decided(dists, keys, outcomes)
+
+
+@st.composite
+def classify_problems(draw):
+    """Small training sets with duplicated rows (degenerate pairs), singleton
+    classes and, on the quarter grid, exact distance ties; plus a query block
+    and a chunk budget small enough that chunks end mid-block."""
+    on_grid = draw(st.booleans())
+    if on_grid:
+        coord = st.integers(-12, 12).map(lambda v: v / 4)
+    else:
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    d = draw(st.integers(1, 4))
+    row = st.lists(coord, min_size=d, max_size=d)
+    distinct = draw(st.lists(row, min_size=1, max_size=6))
+    n = draw(st.integers(2, 9))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    train = np.array([distinct[i] for i in picks], dtype=float)
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    queries = np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=float).reshape(-1, d)
+    budget = draw(st.integers(1, 200))
+    return train, labels, queries, budget, on_grid
+
+
+class TestBatchedClassifiers:
+    @given(classify_problems())
+    @settings(deadline=None, max_examples=150)
+    def test_1nn_block_matches_single_queries_and_oracle(self, problem):
+        train, labels, queries, budget, on_grid = problem
+        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
+            block = classify_1nn(train, labels, queries)
+            singles = [classify_1nn(train, labels, q) for q in queries]
+        assert all(type(s) is int for s in singles)
+        assert block.shape == (len(queries),) and np.issubdtype(block.dtype, np.integer)
+        assert block.tolist() == singles
+        if on_grid:
+            for q, got in zip(queries, singles):
+                if _1nn_is_decided(train, labels, q):
+                    assert got == exhaustive_1nn(train, labels, q)
+
+    @given(classify_problems(), st.sampled_from(["within_class", "all_pairs"]))
+    @settings(deadline=None, max_examples=150)
+    def test_nearest_line_block_matches_single_queries_and_oracle(self, problem, scope):
+        train, labels, queries, budget, on_grid = problem
+        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
+            try:
+                block = classify_nearest_line(train, labels, queries, scope)
+            except ValueError:
+                # no candidate pair, or only degenerate ones: every query fails alike
+                for q in queries:
+                    with pytest.raises(ValueError):
+                        classify_nearest_line(train, labels, q, scope)
+                if on_grid:
+                    with pytest.raises(ValueError):
+                        exhaustive_nearest_line(train, labels, queries[0], scope)
+                return
+            singles = [classify_nearest_line(train, labels, q, scope) for q in queries]
+        assert all(type(s) is int for s in singles)
+        assert block.shape == (len(queries),) and np.issubdtype(block.dtype, np.integer)
+        assert block.tolist() == singles
+        if on_grid:
+            for q, got in zip(queries, singles):
+                if _nearest_line_is_decided(train, labels, q, scope):
+                    assert got == exhaustive_nearest_line(train, labels, q, scope)
+
+    def test_exact_ties_follow_the_documented_order(self):
+        # rows 0 and 1 coincide, so lines (0, 2) and (1, 2) tie exactly;
+        # the smaller pair's nearer endpoint is row 0, labelled 4
+        train = np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 0.0]])
+        labels = np.array([4, 5, 6])
+        queries = np.array([[1.0, 1.0], [1.0, -1.0]])
+        assert classify_nearest_line(train, labels, queries, "all_pairs").tolist() == [4, 4]
+        assert classify_1nn(train, labels, queries).tolist() == [4, 4]
+        # a query equidistant from both endpoints takes the first one's label
+        equidistant = np.array([[2.0, 1.0], [2.0, -3.0]])
+        assert classify_nearest_line(train, labels, equidistant, "all_pairs").tolist() == [4, 4]
+
+    def test_query_shape_checked(self):
+        train = np.zeros((3, 2))
+        labels = np.array([0, 0, 1])
+        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError, match="query has shape"):
+                classify_1nn(train, labels, bad)
+            with pytest.raises(ValueError, match="query has shape"):
+                classify_nearest_line(train, labels, bad)
+
+    def test_nearest_line_memory_is_bounded(self):
+        # 2000 queries x 400 within-class lines x 20 dims would be 128 MB
+        # per temporary unchunked; the chunks keep each one at 0.5 MB
+        rng = np.random.default_rng(0)
+        train = rng.normal(size=(200, 20))
+        labels = np.repeat(np.arange(40), 5)
+        queries = rng.normal(size=(2000, 20))
+        tracemalloc.start()
+        try:
+            preds = classify_nearest_line(train, labels, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert preds.shape == (2000,)
+        assert peak < 8 * 2**20
+
+    def test_one_classifier_call_per_repeat(self):
+        ds = separable_clusters(seed=9)
+        split = SplitSpec(train_fraction=0.5, seed=13, repeats=3)
+        for classifier, name in (("nn", "classify_1nn"), ("nearest_line", "classify_nearest_line")):
+            with mock.patch.object(evaluate, name, wraps=getattr(evaluate, name)) as spy:
+                run_experiment(ds, BaselineConfig("pca", 2), split, classifier)
+            assert spy.call_count == split.repeats
+            assert all(call.args[2].ndim == 2 for call in spy.call_args_list)
 
 
 class TestRunExperiment:
