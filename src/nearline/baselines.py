@@ -11,7 +11,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from nearline.data import Dataset, center
 from nearline.linalg import orient_columns
@@ -79,23 +78,16 @@ def _knn_affinity(X: np.ndarray, K: int, heat_sigma) -> np.ndarray:
     """Symmetric heat-kernel adjacency of the K-nearest-neighbor graph."""
     n = X.shape[0]
     neighbors = k_nearest_neighbors(X, K)
-    d2 = np.zeros((n, K))
-    for i in range(n):
-        diffs = X[neighbors[i]] - X[i]
-        d2[i] = np.einsum("ij,ij->i", diffs, diffs)
+    diffs = X[neighbors] - X[:, None, :]
+    d2 = np.einsum("ikj,ikj->ik", diffs, diffs)
     if heat_sigma == "auto":
         dists = np.sqrt(d2[d2 > 0])
         sigma = float(np.median(dists)) if dists.size else 1.0
     else:
         sigma = float(heat_sigma)
-    A = np.zeros((n, n))
-    weights = np.exp(-d2 / (sigma * sigma))
-    for i in range(n):
-        for slot, j in enumerate(neighbors[i]):
-            w = weights[i, slot]
-            A[i, j] = max(A[i, j], w)
-            A[j, i] = max(A[j, i], w)
-    return A
+    B = np.zeros((n, n))
+    B[np.arange(n)[:, None], neighbors] = np.exp(-d2 / (sigma * sigma))
+    return np.maximum(B, B.T)
 
 
 def train_lpp(dataset: Dataset, config: BaselineConfig) -> TrainedModel:
@@ -127,6 +119,10 @@ def train_lpp(dataset: Dataset, config: BaselineConfig) -> TrainedModel:
     M_deg = (M_deg + M_deg.T) / 2.0
     reg = LPP_REG_RTOL * np.trace(M_deg) / d
     M_deg_reg = M_deg + reg * np.eye(d)
+
+    # imported here rather than at module load: only LPP needs scipy, and the
+    # import costs more than a whole reduced-space nearest-line fit
+    import scipy.linalg
 
     try:
         vals, vecs = scipy.linalg.eigh(M_lap, M_deg_reg, subset_by_index=(0, config.d_prime - 1))

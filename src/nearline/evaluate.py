@@ -8,7 +8,6 @@ test sample; the report aggregates the per-repeat accuracies.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -87,18 +86,15 @@ def classify_1nn(train_projected: np.ndarray, train_labels: np.ndarray, query) -
 
 def _candidate_pairs(labels: np.ndarray, pair_scope: str) -> np.ndarray:
     """All candidate (j, k) training pairs, j < k, in lexicographic order."""
-    n = labels.shape[0]
-    if pair_scope == "all_pairs":
-        pairs = list(itertools.combinations(range(n), 2))
-    elif pair_scope == "within_class":
-        pairs = []
-        for c in np.unique(labels):
-            members = np.flatnonzero(labels == c)
-            pairs.extend(itertools.combinations(members.tolist(), 2))
-        pairs.sort()
-    else:
+    if pair_scope not in PAIR_SCOPES:
         raise ValueError(f"pair_scope must be one of {PAIR_SCOPES}, got {pair_scope!r}")
-    return np.array(pairs, dtype=int).reshape(-1, 2)
+    if pair_scope == "all_pairs":
+        return np.stack(np.triu_indices(labels.shape[0], 1), axis=1)
+    classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    pairs = np.concatenate([np.empty((0, 2), dtype=int)] + [
+        members[np.stack(np.triu_indices(members.size, 1), axis=1)] for members in classes
+    ])
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def classify_nearest_line(
@@ -114,8 +110,9 @@ def classify_nearest_line(
     label of the pair endpoint nearer to the query.  Degenerate pairs are
     skipped; ties go to the lexicographically smaller pair.  A 1-D query
     returns an ``int``; a 2-D block with one query per row returns an int
-    array.  The candidate lines are built once per call and the queries
-    are scored against them in memory-bounded chunks.
+    array.  The candidate pairs are enumerated once per call; their lines
+    are built and scored in blocks, against memory-bounded chunks of the
+    queries, keeping each query's first minimum across blocks.
     """
     T = np.asarray(train_projected, dtype=float)
     labels = np.asarray(train_labels)
@@ -123,17 +120,30 @@ def classify_nearest_line(
     pairs = _candidate_pairs(labels, pair_scope)
     if pairs.shape[0] == 0:
         raise ValueError(f"no candidate pairs for scope {pair_scope!r}")
-    Djk, gap, ok = line_directions(T[pairs[:, 0]], T[pairs[:, 1]])
-    if not ok.any():
+    best_dist = np.full(Q.shape[0], np.inf)
+    best = np.full(Q.shape[0], -1)
+    any_line = False
+    block = max(1, CHUNK_ELEMENTS // max(1, T.shape[1]))
+    for start in range(0, pairs.shape[0], block):
+        block_pairs = pairs[start : start + block]
+        Djk, gap, ok = line_directions(T[block_pairs[:, 0]], T[block_pairs[:, 1]])
+        if not ok.any():
+            continue
+        any_line = True
+        index = start + np.flatnonzero(ok)
+        Djk, gap, Pk = Djk[ok], gap[ok], T[block_pairs[ok, 1]]
+        for rows in _chunks(Q.shape[0], Djk.size):
+            Dqk = Q[rows, None, :] - Pk
+            alpha = np.einsum("qij,ij->qi", Dqk, Djk) / gap
+            rho = Dqk - alpha[:, :, None] * Djk
+            dist = np.einsum("qij,qij->qi", rho, rho)
+            first, first_dist = np.argmin(dist, axis=1), np.min(dist, axis=1)
+            # strict <: an equal distance in a later block keeps the earlier pair
+            better = (first_dist < best_dist[rows]) | (best[rows] < 0)
+            best_dist[rows] = np.where(better, first_dist, best_dist[rows])
+            best[rows] = np.where(better, index[first], best[rows])
+    if not any_line:
         raise ValueError("all candidate pairs are degenerate")
-    pairs, Djk, gap = pairs[ok], Djk[ok], gap[ok]
-    Pk = T[pairs[:, 1]]
-    best = np.empty(Q.shape[0], dtype=int)
-    for rows in _chunks(Q.shape[0], Djk.size):
-        Dqk = Q[rows, None, :] - Pk
-        alpha = np.einsum("qij,ij->qi", Dqk, Djk) / gap
-        rho = Dqk - alpha[:, :, None] * Djk
-        best[rows] = np.argmin(np.einsum("qij,qij->qi", rho, rho), axis=1)
     j, k = pairs[best, 0], pairs[best, 1]
     if pair_scope == "within_class":
         pred = labels[j]

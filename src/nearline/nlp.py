@@ -33,6 +33,10 @@ log = logging.getLogger(__name__)
 # the projection does not collapse onto pure noise directions.
 TRIVIAL_EIGENVALUE_RTOL = 1e-10
 
+# Upper bound on the elements of each (rows x n) block of screened distances
+# the neighbor search holds (one row per block at least).
+KNN_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -121,18 +125,37 @@ def _features_of(data) -> np.ndarray:
 def k_nearest_neighbors(features: np.ndarray, K: int) -> np.ndarray:
     """Indices of the K nearest rows to each row, by squared distance.
 
-    Brute force over all pairs; ties broken by the smaller index (stable
-    argsort over the distance vector).
+    Exact, ties broken by the smaller index.  A Gram-form screen,
+    ``|x_i|^2 + |x_j|^2 - 2 <x_i, x_j>`` from one matrix product per block of
+    rows, keeps every candidate within a rounding slack of the row's K-th
+    screened distance.  The slack bounds the rounding of both the screen and
+    the direct form, so the kept set holds the true K nearest rows even where
+    the Gram form cancels badly.  The kept candidates are then rescored with
+    the direct ``sum((x_j - x_i)^2)`` and ranked by a stable argsort over
+    index order, the same result as ranking every row by the direct form.
     """
     X = np.asarray(features, dtype=float)
-    n = X.shape[0]
+    n, d = X.shape
     if not 1 <= K <= n - 1:
         raise ValueError(f"K must be in [1, {n - 1}], got {K}")
+    norms = np.einsum("ij,ij->i", X, X)
+    # Each form is within about (d + 3) * eps * (|x_i|^2 + |x_j|^2) of the
+    # exact distance, so a true neighbor screens at most twice the sum of
+    # both errors, about 4 (d + 2) eps (...), above the K-th screened value;
+    # the factor 8 leaves a 2x margin.
+    slack = 8 * (d + 2) * np.finfo(float).eps * (norms + norms.max())
     neighbors = np.empty((n, K), dtype=int)
-    for i in range(n):
-        d2 = np.sum((X - X[i]) ** 2, axis=1)
-        d2[i] = np.inf
-        neighbors[i] = np.argsort(d2, kind="stable")[:K]
+    step = max(1, KNN_BLOCK_ELEMENTS // n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        screen = norms[rows, None] + norms - 2.0 * (X[rows] @ X.T)
+        screen[np.arange(rows.size), rows] = np.inf
+        kth = np.partition(screen, K - 1, axis=1)[:, K - 1]
+        keep = screen <= (kth + slack[rows])[:, None]
+        for r, i in enumerate(rows):
+            cand = np.flatnonzero(keep[r])
+            d2 = np.sum((X[cand] - X[i]) ** 2, axis=1)
+            neighbors[i] = cand[np.argsort(d2, kind="stable")[:K]]
     return neighbors
 
 

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nearline.baselines import BaselineConfig, train_lpp, train_pca
+import nearline
+from nearline.baselines import BaselineConfig, _knn_affinity, train_lpp, train_pca
 from nearline.data import Dataset, center
 from nearline.evaluate import fit_method
-from nearline.nlp import TrainedModel, project
+from nearline.nlp import TrainedModel, k_nearest_neighbors, project
+from nearline.synthetic import manifold_classes
 
 
 def two_far_clusters(n_per=30, d=10, gap=10.0, seed=0):
@@ -92,8 +99,6 @@ class TestLpp:
         cfg = BaselineConfig(method="lpp", d_prime=3, K=5)
         model = train_lpp(ds, cfg)
         X = center(ds).features
-        from nearline.baselines import _knn_affinity
-
         A = _knn_affinity(X, cfg.K, cfg.heat_sigma)
         degrees = A.sum(axis=1)
         M_deg = X.T @ (degrees[:, None] * X)
@@ -117,6 +122,76 @@ class TestLpp:
         ds = two_far_clusters(n_per=3, seed=4)
         with pytest.raises(ValueError, match="K must be <="):
             train_lpp(ds, BaselineConfig(method="lpp", d_prime=1, K=6))
+
+
+def loop_affinity(X, K, heat_sigma):
+    """Row-by-row heat-kernel kNN adjacency, symmetrized by max (oracle)."""
+    n = X.shape[0]
+    neighbors = k_nearest_neighbors(X, K)
+    d2 = np.zeros((n, K))
+    for i in range(n):
+        diffs = X[neighbors[i]] - X[i]
+        d2[i] = np.einsum("ij,ij->i", diffs, diffs)
+    if heat_sigma == "auto":
+        dists = np.sqrt(d2[d2 > 0])
+        sigma = float(np.median(dists)) if dists.size else 1.0
+    else:
+        sigma = float(heat_sigma)
+    A = np.zeros((n, n))
+    weights = np.exp(-d2 / (sigma * sigma))
+    for i in range(n):
+        for slot, j in enumerate(neighbors[i]):
+            w = weights[i, slot]
+            A[i, j] = max(A[i, j], w)
+            A[j, i] = max(A[j, i], w)
+    return A
+
+
+class TestKnnAffinity:
+    @pytest.mark.parametrize("seed", [0, 7, 21])
+    @pytest.mark.parametrize("heat_sigma", ["auto", 0.7])
+    def test_matches_loop_oracle_bitwise(self, seed, heat_sigma):
+        X = center(manifold_classes(n_per_class=12, ambient_dim=30, seed=seed)).features
+        for K in (1, 3, 8):
+            assert np.array_equal(_knn_affinity(X, K, heat_sigma), loop_affinity(X, K, heat_sigma))
+
+    def test_duplicates_and_one_sided_neighbors(self):
+        # duplicated rows give zero distances (weight 1, left out of the auto
+        # width); the far point is nobody's neighbor but has neighbors itself
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [9.0, 9.0]])
+        A = _knn_affinity(X, 2, "auto")
+        assert np.array_equal(A, loop_affinity(X, 2, "auto"))
+        assert np.array_equal(A, A.T)
+        assert A[0, 1] == 1.0 and A[4, 3] > 0.0
+
+
+class TestLazyScipy:
+    def test_scipy_loads_only_when_lpp_is_fitted(self):
+        script = """
+import sys
+import numpy as np
+import nearline, nearline.cli, nearline.nlp, nearline.evaluate
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+from nearline.baselines import BaselineConfig, train_lpp, train_pca
+from nearline.data import Dataset
+from nearline.nlp import TrainConfig, train
+rng = np.random.default_rng(0)
+ds = Dataset(rng.normal(size=(20, 6)), np.repeat([0, 1], 10))
+train(ds, TrainConfig(K=3, d_prime=2, max_iters=2))
+train_pca(ds, 2)
+assert "scipy" not in sys.modules
+train_lpp(ds, BaselineConfig("lpp", 2, K=3))
+assert "scipy.linalg" in sys.modules
+"""
+        src = str(Path(nearline.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestInterchangeability:

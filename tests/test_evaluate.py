@@ -227,6 +227,20 @@ class TestBatchedClassifiers:
                 if _nearest_line_is_decided(train, labels, q, scope):
                     assert got == exhaustive_nearest_line(train, labels, q, scope)
 
+    @given(classify_problems(), st.sampled_from(["within_class", "all_pairs"]))
+    @settings(deadline=None, max_examples=150)
+    def test_nearest_line_pair_blocks_match_one_block(self, problem, scope):
+        # with a budget below d' every pair is its own block, so exact ties
+        # between duplicated rows fall across block edges
+        train, labels, queries, budget, _ = problem
+        try:
+            whole = classify_nearest_line(train, labels, queries, scope)
+        except ValueError:
+            return
+        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
+            blocked = classify_nearest_line(train, labels, queries, scope)
+        assert blocked.tolist() == whole.tolist()
+
     def test_exact_ties_follow_the_documented_order(self):
         # rows 0 and 1 coincide, so lines (0, 2) and (1, 2) tie exactly;
         # the smaller pair's nearer endpoint is row 0, labelled 4
@@ -263,6 +277,22 @@ class TestBatchedClassifiers:
             tracemalloc.stop()
         assert preds.shape == (2000,)
         assert peak < 8 * 2**20
+
+    def test_all_pairs_memory_is_bounded(self):
+        # 600 rows give 179 700 candidate lines; holding them all at once
+        # peaked at 170 MiB, the pair blocks keep each temporary at 0.5 MB
+        rng = np.random.default_rng(1)
+        train = rng.normal(size=(600, 20))
+        labels = rng.integers(0, 30, size=600)
+        queries = rng.normal(size=(20, 20))
+        tracemalloc.start()
+        try:
+            preds = classify_nearest_line(train, labels, queries, "all_pairs")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert preds.shape == (20,)
+        assert peak < 16 * 2**20
 
     def test_one_classifier_call_per_repeat(self):
         ds = separable_clusters(seed=9)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from nearline.nlp import (
     assemble_scatter,
     build_neighbor_lines,
     eigen_step,
+    k_nearest_neighbors,
     objective,
     project,
     train,
@@ -49,6 +52,46 @@ def geometry_objective(Y, index):
 
 def random_dataset(rng, n, d, classes=2):
     return Dataset(rng.normal(size=(n, d)), rng.integers(0, classes, size=n))
+
+
+@st.composite
+def offset_grid_rows(draw):
+    """Rows at a large common offset plus small integer perturbations, some
+    duplicated, with a row-block budget small enough that blocks end
+    mid-matrix.  The direct distances are exact small integers, so near the
+    K-th neighbor they tie exactly, while the Gram form cancels ``|x|^2`` of
+    up to 3e19 and misorders them."""
+    n = draw(st.integers(3, 40))
+    d = draw(st.sampled_from([1, 2, 7, 64, 700, 3000]))
+    offset = draw(st.sampled_from([0.0, 3.0, -1e3, 1e6, 1e8]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = offset + rng.integers(-2, 3, size=(n, d)).astype(float)
+    dup = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=max(2, n // 2)))
+    X[dup] = X[dup[0]]
+    K = draw(st.integers(1, n - 1))
+    budget = draw(st.integers(1, 3 * n))
+    return X, K, budget
+
+
+class TestKNearestNeighbors:
+    @given(offset_grid_rows())
+    @settings(deadline=None, max_examples=120)
+    def test_matches_exhaustive_oracle(self, problem):
+        X, K, budget = problem
+        with mock.patch.object(nearline.nlp, "KNN_BLOCK_ELEMENTS", budget):
+            got = k_nearest_neighbors(X, K)
+        assert got.tolist() == brute_force_knn(X, K)
+
+    def test_row_blocks_match_one_block(self):
+        rng = np.random.default_rng(11)
+        X = 1e4 + rng.integers(-3, 4, size=(23, 40)).astype(float)
+        X[[3, 9, 17]] = X[12]
+        whole = k_nearest_neighbors(X, 6)
+        for budget in (1, 23, 50, 69, 5 * 23):
+            with mock.patch.object(nearline.nlp, "KNN_BLOCK_ELEMENTS", budget):
+                assert np.array_equal(k_nearest_neighbors(X, 6), whole)
+        assert whole.tolist() == brute_force_knn(X, 6)
 
 
 class TestBuildNeighborLines:
