@@ -8,16 +8,21 @@ import numpy as np
 def orient_columns(V: np.ndarray) -> np.ndarray:
     """Fix the sign of each column so its first nonzero component is positive.
 
-    Eigenvectors and singular vectors are only defined up to sign; this makes
-    every decomposition in the package deterministic.
+    A component counts as nonzero above 1e-12 in magnitude; a column with
+    none takes the sign of its largest component.  Eigenvectors and singular
+    vectors are only defined up to sign; this makes every decomposition in
+    the package deterministic.
     """
     V = np.array(V, dtype=float)
-    for c in range(V.shape[1]):
-        col = V[:, c]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        pivot = nz[0] if nz.size else int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            V[:, c] = -col
+    if V.shape[1] == 0:
+        return V
+    cols = np.arange(V.shape[1])
+    nonzero = (V > 1e-12) | (V < -1e-12)
+    pivot = nonzero.argmax(axis=0)
+    tiny = ~nonzero[pivot, cols]
+    if tiny.any():
+        pivot[tiny] = np.abs(V[:, tiny]).argmax(axis=0)
+    np.negative(V, out=V, where=V[pivot, cols] < 0)
     return V
 
 

@@ -37,6 +37,11 @@ TRIVIAL_EIGENVALUE_RTOL = 1e-10
 # the neighbor search holds (one row per block at least).
 KNN_BLOCK_ELEMENTS = 1 << 16
 
+# Upper bound on the elements of each (lines x features) block of temporaries
+# the scatter step uses to build its residual matrix (one line per block at
+# least); only the residual matrix itself is held whole.
+SCATTER_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -171,23 +176,61 @@ def build_neighbor_lines(dataset, K: int) -> NeighborLineIndex:
     return NeighborLineIndex(neighbors=neighbors, lines=lines)
 
 
-def _line_terms(X: np.ndarray, W: np.ndarray, index: NeighborLineIndex):
-    """Per-line coefficients and validity mask, computed in projected space.
+def _line_pass(X: np.ndarray, W: np.ndarray, triples):
+    """One pass over the lines under projection W: coefficients, validity
+    mask and projected residuals.
 
-    Returns (i, j, k, alpha, ok): the line coefficient minimizes the
-    projected residual; lines whose projected endpoints (nearly) coincide are
-    masked out for this W only.
+    Returns (alpha, ok, rho): the line coefficient minimizes the projected
+    residual ``rho = (y_i - y_k) - alpha * (y_j - y_k)``; lines whose
+    projected endpoints (nearly) coincide are masked out for this W only.
+    Both the objective of W and the scatter operator built under W are read
+    from this one pass.
     """
+    i_idx, j_idx, k_idx = triples
     Y = X @ W
-    i_idx, j_idx, k_idx = index.flat_triples()
-    Djk, gap, ok = line_directions(Y[j_idx], Y[k_idx])
-    Dik = Y[i_idx] - Y[k_idx]
+    Yk = Y.take(k_idx, axis=0)
+    Djk, gap, ok = line_directions(Y.take(j_idx, axis=0), Yk)
+    rho = Y.take(i_idx, axis=0) - Yk
     alpha = np.zeros_like(gap)
-    np.divide(np.einsum("ij,ij->i", Dik, Djk), gap, out=alpha, where=ok)
-    skipped = int((~ok).sum())
+    np.divide(np.einsum("ij,ij->i", rho, Djk), gap, out=alpha, where=ok)
+    rho -= alpha[:, None] * Djk
+    skipped = ok.size - np.count_nonzero(ok)
     if skipped:
         log.debug("skipped %d degenerate projected lines (of %d)", skipped, ok.size)
-    return i_idx, j_idx, k_idx, alpha, ok
+    return alpha, ok, rho
+
+
+def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Scatter operator from one pass's coefficients: the sum of the outer
+    products of the input-space residuals of the kept lines, symmetrized.
+
+    The residual matrix is filled in blocks of lines, so besides it only
+    temporaries of at most ``SCATTER_BLOCK_ELEMENTS`` elements are alive;
+    each element is computed as ``(x_i - x_k) - alpha * (x_j - x_k)``.
+    """
+    i_idx, j_idx, k_idx = triples
+    if not ok.all():
+        if not ok.any():
+            return np.zeros((X.shape[1], X.shape[1]))
+        i_idx, j_idx, k_idx, alpha = i_idx[ok], j_idx[ok], k_idx[ok], alpha[ok]
+    R = np.empty((i_idx.size, X.shape[1]))
+    step = max(1, SCATTER_BLOCK_ELEMENTS // max(1, X.shape[1]))
+    for start in range(0, i_idx.size, step):
+        rows = slice(start, start + step)
+        Xk = X.take(k_idx[rows], axis=0)
+        np.subtract(X.take(i_idx[rows], axis=0), Xk, out=R[rows])
+        D = X.take(j_idx[rows], axis=0)
+        D -= Xk
+        D *= alpha[rows, None]
+        R[rows] -= D
+    L = R.T @ R
+    return (L + L.T) / 2.0
+
+
+def _objective_of(ok: np.ndarray, rho: np.ndarray) -> float:
+    """Objective from one pass: the summed squared residuals of the kept lines."""
+    kept = rho if ok.all() else rho[ok]
+    return float(np.einsum("ij,ij->", kept, kept))
 
 
 def assemble_scatter(dataset, index: NeighborLineIndex, W: np.ndarray) -> np.ndarray:
@@ -199,16 +242,11 @@ def assemble_scatter(dataset, index: NeighborLineIndex, W: np.ndarray) -> np.nda
     result is symmetrized to remove floating-point asymmetry.
     """
     X = _features_of(dataset)
-    d = X.shape[1]
-    if W.shape[0] != d:
-        raise ValueError(f"projection has {W.shape[0]} rows, features have {d} columns")
-    i_idx, j_idx, k_idx, alpha, ok = _line_terms(X, W, index)
-    if not ok.any():
-        return np.zeros((d, d))
-    i_idx, j_idx, k_idx, alpha = i_idx[ok], j_idx[ok], k_idx[ok], alpha[ok]
-    R = X[i_idx] - X[k_idx] - alpha[:, None] * (X[j_idx] - X[k_idx])
-    L = R.T @ R
-    return (L + L.T) / 2.0
+    if W.shape[0] != X.shape[1]:
+        raise ValueError(f"projection has {W.shape[0]} rows, features have {X.shape[1]} columns")
+    triples = index.flat_triples()
+    alpha, ok, _ = _line_pass(X, W, triples)
+    return _scatter_of(X, triples, alpha, ok)
 
 
 def objective(dataset, index: NeighborLineIndex, W: np.ndarray) -> float:
@@ -219,13 +257,8 @@ def objective(dataset, index: NeighborLineIndex, W: np.ndarray) -> float:
     Degenerate lines are skipped exactly as in assemble_scatter, so this
     equals the trace of W^T L W against the assembled scatter operator.
     """
-    X = _features_of(dataset)
-    Y = X @ W
-    i_idx, j_idx, k_idx, alpha, ok = _line_terms(X, W, index)
-    if not ok.any():
-        return 0.0
-    rho = (Y[i_idx] - Y[k_idx]) - alpha[:, None] * (Y[j_idx] - Y[k_idx])
-    return float(np.einsum("ij,ij->", rho[ok], rho[ok]))
+    _, ok, rho = _line_pass(_features_of(dataset), W, index.flat_triples())
+    return _objective_of(ok, rho)
 
 
 def eigen_step(L: np.ndarray, d_prime: int, order: str = "smallest") -> np.ndarray:
@@ -267,7 +300,10 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
     ``Z = X V_r`` (see ``linalg.row_space``), where ``X W`` equals
     ``Z (V_r^T W)``: each iteration assembles the r x r scatter operator under
     the current projection, replaces the projection through the eigen step,
-    and records the objective of the new one; training stops when the
+    and records the objective of the new one.  One line pass per projection
+    gives both its objective and the operator of the next iteration; a change
+    of the degenerate-line mask between two projections, where the objective
+    need not decrease, is logged at DEBUG level.  Training stops when the
     relative objective change drops below ``rel_tol`` or after ``max_iters``
     iterations.  The result ``V_r W_z`` is completed with deterministic
     directions orthogonal to the training rows when ``d_prime`` exceeds r.
@@ -298,8 +334,10 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
     W_z = V.T @ W
 
     index = build_neighbor_lines(ds, config.K)
+    triples = index.flat_triples()
 
-    objective_prev = objective(Z, index, W_z)
+    alpha, ok, rho = _line_pass(Z, W_z, triples)
+    objective_prev = _objective_of(ok, rho)
     if not np.isfinite(objective_prev):
         raise ValueError(f"non-finite objective at initialization: {objective_prev}")
     if config.max_iters == 0 or r == 0:
@@ -317,13 +355,21 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
     converged = False
     iterations = 0
     for t in range(1, config.max_iters + 1):
-        L = assemble_scatter(Z, index, W_z)
+        L = _scatter_of(Z, triples, alpha, ok)
         trace_old = float(np.trace(W_z.T @ L @ W_z))
         W_z = eigen_step(L, min(config.d_prime, r), config.eigen_order)
         trace_new = float(np.trace(W_z.T @ L @ W_z))
         step_traces.append((trace_old, trace_new))
 
-        value = objective(Z, index, W_z)
+        ok_prev = ok
+        alpha, ok, rho = _line_pass(Z, W_z, triples)
+        flipped = np.count_nonzero(ok != ok_prev)
+        if flipped:
+            log.debug(
+                "iteration %d: degenerate-line mask changed on %d lines; the objective may rise here",
+                t, flipped,
+            )
+        value = _objective_of(ok, rho)
         if not np.isfinite(value):
             raise ValueError(f"non-finite objective at iteration {t}: {value}")
         trace.append(value)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from unittest import mock
@@ -7,8 +9,15 @@ from hypothesis import strategies as st
 
 import nearline.nlp
 from nearline.data import Dataset, center
-from nearline.geometry import DegenerateLineError, point_line_sqdist
-from nearline.linalg import sym_eigh
+from nearline.geometry import (
+    DegenerateLineError,
+    is_degenerate_line,
+    line_alpha,
+    line_directions,
+    line_residual,
+    point_line_sqdist,
+)
+from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 from nearline.nlp import (
     TrainConfig,
     assemble_scatter,
@@ -190,6 +199,26 @@ class TestAssembleScatter:
         assert np.array_equal(L, L.T)
         vals = np.linalg.eigvalsh(L)
         assert vals.min() >= -1e-8 * max(vals.max(), 1.0)
+
+    def test_matches_scalar_geometry_loop_with_degenerate_lines(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(16, 5))
+        X[[4, 9, 13]] = X[2]
+        X[[7, 11]] = X[0]
+        ds = Dataset(X, np.zeros(16, dtype=int))
+        index = build_neighbor_lines(ds, 4)
+        W, _ = np.linalg.qr(rng.normal(size=(5, 3)))
+        Y = X @ W
+        expected = np.zeros((5, 5))
+        skipped = 0
+        for i, j, k in zip(*index.flat_triples()):
+            if is_degenerate_line(Y[j], Y[k]):
+                skipped += 1
+                continue
+            r = line_residual(X[i], X[j], X[k], line_alpha(Y[i], Y[j], Y[k]))
+            expected += np.outer(r, r)
+        assert 0 < skipped < index.lines.size // 2
+        assert np.allclose(assemble_scatter(ds, index, W), expected, rtol=1e-9, atol=1e-12)
 
 
 class TestObjective:
@@ -449,6 +478,151 @@ class TestRowSpaceTraining:
         if d_prime > r:
             scale = max(np.abs(X).max(), 1.0)
             assert np.abs(X @ W[:, r:]).max() < 1e-8 * scale
+
+
+@st.composite
+def fit_problems(draw):
+    """Small fits of any rank (0 included), with d < n and d > n, repeated
+    rows (so some lines are degenerate), d' above the rank, both inits, both
+    eigen orders and stopping on tolerance or on max_iters."""
+    n = draw(st.integers(6, 14))
+    d = draw(st.integers(1, 24))
+    rank = draw(st.integers(0, min(n - 1, d)))
+    repeated = draw(st.integers(0, n // 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) + rng.normal(size=d)
+    X[n - repeated :] = X[:repeated]
+    config = TrainConfig(
+        K=draw(st.integers(2, min(5, n - 1))),
+        d_prime=draw(st.integers(1, d)),
+        max_iters=draw(st.integers(0, 5)),
+        rel_tol=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+        eigen_order=draw(st.sampled_from(["smallest", "largest"])),
+        init=draw(st.sampled_from(["pca", "identity"])),
+    )
+    return Dataset(X, np.zeros(n, dtype=int)), config
+
+
+def two_pass_train(ds, config):
+    """The training loop with one line pass for each scatter operator and
+    another for each objective, from the public pieces (reference)."""
+    centered = center(ds)
+    Z, V = row_space(centered.features)
+    r = V.shape[1]
+    if config.init == "pca":
+        W = orient_columns(complete_basis(V, config.d_prime))
+    else:
+        W = np.eye(ds.d)[:, : config.d_prime]
+    W_z = V.T @ W
+    index = build_neighbor_lines(centered, config.K)
+    previous = objective(Z, index, W_z)
+    if config.max_iters == 0 or r == 0:
+        return W, [previous], [], 0, r == 0
+    objectives, steps = [], []
+    converged = False
+    for t in range(1, config.max_iters + 1):
+        L = assemble_scatter(Z, index, W_z)
+        old = float(np.trace(W_z.T @ L @ W_z))
+        W_z = eigen_step(L, min(config.d_prime, r), config.eigen_order)
+        steps.append((old, float(np.trace(W_z.T @ L @ W_z))))
+        value = objective(Z, index, W_z)
+        objectives.append(value)
+        rel_change = abs(value - previous) / max(abs(previous), 1e-30)
+        previous = value
+        if rel_change < config.rel_tol:
+            converged = True
+            break
+    W = orient_columns(complete_basis(V @ W_z, config.d_prime))
+    return W, objectives, steps, t, converged
+
+
+def direct_scatter_and_objective(X, index, W):
+    """The operator and the objective each from its own expression over the
+    kept lines (oracle for the exact arithmetic of the shared pass)."""
+    Y = X @ W
+    i, j, k = index.flat_triples()
+    Djk, gap, ok = line_directions(Y[j], Y[k])
+    if not ok.any():
+        return np.zeros((X.shape[1], X.shape[1])), 0.0
+    alpha = np.zeros_like(gap)
+    np.divide(np.einsum("ij,ij->i", Y[i] - Y[k], Djk), gap, out=alpha, where=ok)
+    i, j, k, alpha = i[ok], j[ok], k[ok], alpha[ok]
+    R = X[i] - X[k] - alpha[:, None] * (X[j] - X[k])
+    L = R.T @ R
+    rho = (Y[i] - Y[k]) - alpha[:, None] * (Y[j] - Y[k])
+    return (L + L.T) / 2.0, float(np.einsum("ij,ij->", rho, rho))
+
+
+class TestSingleLinePass:
+    @given(fit_problems(), st.integers(0, 2**32 - 1), st.integers(1, 80))
+    @settings(deadline=None, max_examples=100)
+    def test_public_pieces_keep_the_exact_arithmetic(self, problem, seed, budget):
+        ds, config = problem
+        X = ds.features
+        index = build_neighbor_lines(X, config.K)
+        W = np.random.default_rng(seed).normal(size=(ds.d, config.d_prime))
+        L, value = direct_scatter_and_objective(X, index, W)
+        with mock.patch.object(nearline.nlp, "SCATTER_BLOCK_ELEMENTS", budget):
+            assert np.array_equal(assemble_scatter(X, index, W), L)
+        assert np.array_equal(assemble_scatter(X, index, W), L)
+        assert objective(X, index, W) == value
+
+    @given(fit_problems())
+    @settings(deadline=None, max_examples=150)
+    def test_bit_identical_to_two_pass_loop(self, problem):
+        ds, config = problem
+        model = train(ds, config)
+        W, objectives, steps, iterations, converged = two_pass_train(ds, config)
+        assert model.objective_trace == objectives
+        assert model.step_traces == steps
+        assert np.array_equal(model.projection, W)
+        assert (model.iterations_run, model.converged) == (iterations, converged)
+
+    def test_one_pass_per_projection(self, monkeypatch):
+        passes = []
+
+        def spy(A, B):
+            passes.append(A.shape)
+            return line_directions(A, B)
+
+        monkeypatch.setattr(nearline.nlp, "line_directions", spy)
+        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)
+        for t in (1, 2, 7):
+            passes.clear()
+            model = train(ds, TrainConfig(K=3, d_prime=2, max_iters=t, rel_tol=0.0))
+            assert model.iterations_run == t
+            assert len(passes) == t + 1
+        index = build_neighbor_lines(center(ds), 3)
+        W = np.eye(6)[:, :2]
+        for public in (assemble_scatter, objective):
+            passes.clear()
+            public(center(ds), index, W)
+            assert len(passes) == 1
+
+    def test_degenerate_mask_change_is_logged(self, monkeypatch, caplog):
+        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)
+        cfg = TrainConfig(K=3, d_prime=2, max_iters=3, rel_tol=0.0)
+        passes = []
+
+        def lose_three_lines_once(A, B):
+            passes.append(None)
+            D, gap, ok = line_directions(A, B)
+            if len(passes) == 2:  # the pass at the first updated projection
+                ok = ok.copy()
+                ok[[0, 5, 9]] = False
+            return D, gap, ok
+
+        with caplog.at_level(logging.DEBUG, logger="nearline.nlp"):
+            plain = train(ds, cfg)
+            assert not [rec for rec in caplog.records if "mask changed" in rec.getMessage()]
+            monkeypatch.setattr(nearline.nlp, "line_directions", lose_three_lines_once)
+            flipped = train(ds, cfg)
+        changes = [rec for rec in caplog.records if "mask changed" in rec.getMessage()]
+        # the three lines drop out at W_1 and come back at W_2
+        assert [rec.args[:2] for rec in changes] == [(1, 3), (2, 3)]
+        assert all(rec.levelno == logging.DEBUG for rec in changes)
+        assert flipped.objective_trace[0] < plain.objective_trace[0]
 
 
 class TestProject:
