@@ -20,6 +20,7 @@ from nearline.evaluate import (
     classify_nearest_line,
     fit_method,
     run_experiment,
+    run_experiments,
 )
 from nearline.geometry import (
     DegenerateLineError,
@@ -72,6 +73,7 @@ __all__ = [
     "project",
     "random_split",
     "run_experiment",
+    "run_experiments",
     "save_csv",
     "save_model",
     "save_report",

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nearline.data import Dataset, center
+from nearline.data import Dataset
 from nearline.linalg import orient_columns
-from nearline.nlp import TrainedModel, k_nearest_neighbors
+from nearline.nlp import TrainedModel, TrainingSplit
 
 log = logging.getLogger(__name__)
 
@@ -48,17 +48,9 @@ class BaselineConfig:
             raise ValueError(f"heat_sigma must be positive or 'auto', got {self.heat_sigma!r}")
 
 
-def _centered(dataset: Dataset) -> Dataset:
-    return dataset if dataset.centered else center(dataset)
-
-
-def _mean_of(ds: Dataset) -> np.ndarray:
-    return ds.mean_vector if ds.mean_vector is not None else np.zeros(ds.d)
-
-
-def train_pca(dataset: Dataset, d_prime: int) -> TrainedModel:
+def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
     """Top principal directions of the centered data, deterministic signs."""
-    ds = _centered(dataset)
+    ds = TrainingSplit.of(data).data
     n, d = ds.n, ds.d
     if not 1 <= d_prime <= min(n - 1, d):
         raise ValueError(f"d_prime must be in [1, {min(n - 1, d)}] for PCA, got {d_prime}")
@@ -66,7 +58,7 @@ def train_pca(dataset: Dataset, d_prime: int) -> TrainedModel:
     W = orient_columns(Vt[:d_prime].T)
     return TrainedModel(
         projection=W,
-        mean_vector=_mean_of(ds),
+        mean_vector=ds.mean_vector,
         config=BaselineConfig(method="pca", d_prime=d_prime),
         objective_trace=[],
         iterations_run=0,
@@ -74,10 +66,9 @@ def train_pca(dataset: Dataset, d_prime: int) -> TrainedModel:
     )
 
 
-def _knn_affinity(X: np.ndarray, K: int, heat_sigma) -> np.ndarray:
-    """Symmetric heat-kernel adjacency of the K-nearest-neighbor graph."""
+def _knn_affinity(X: np.ndarray, neighbors: np.ndarray, heat_sigma) -> np.ndarray:
+    """Symmetric heat-kernel adjacency of the graph linking i to ``neighbors[i]``."""
     n = X.shape[0]
-    neighbors = k_nearest_neighbors(X, K)
     diffs = X[neighbors] - X[:, None, :]
     d2 = np.einsum("ikj,ikj->ik", diffs, diffs)
     if heat_sigma == "auto":
@@ -90,26 +81,27 @@ def _knn_affinity(X: np.ndarray, K: int, heat_sigma) -> np.ndarray:
     return np.maximum(B, B.T)
 
 
-def train_lpp(dataset: Dataset, config: BaselineConfig) -> TrainedModel:
+def train_lpp(data: Dataset | TrainingSplit, config: BaselineConfig) -> TrainedModel:
     """Locality preserving projections.
 
-    Builds the symmetric kNN heat-kernel graph, then solves the generalized
-    eigenproblem  X^T L_graph X w = lambda X^T D X w  for the smallest
-    eigenvalues (rows of X are samples, L_graph = D - A).  The right-hand
-    matrix is regularized by a small multiple of its mean diagonal so
-    rank-deficient data stays solvable.
+    Builds the symmetric heat-kernel graph on the split's K nearest
+    neighbors, then solves the generalized eigenproblem
+    X^T L_graph X w = lambda X^T D X w  for the smallest eigenvalues (rows
+    of X are samples, L_graph = D - A).  The right-hand matrix is
+    regularized by a small multiple of its mean diagonal so rank-deficient
+    data stays solvable.
     """
     if config.method != "lpp":
         raise ValueError(f"train_lpp called with method {config.method!r}")
-    ds = _centered(dataset)
-    n, d = ds.n, ds.d
+    split = TrainingSplit.of(data)
+    X = split.data.features
+    n, d = X.shape
     if config.K > n - 1:
         raise ValueError(f"K must be <= n - 1 = {n - 1}, got {config.K}")
     if config.d_prime > d:
         raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
-    X = ds.features
 
-    A = _knn_affinity(X, config.K, config.heat_sigma)
+    A = _knn_affinity(X, split.neighbor_lines(config.K).neighbors, config.heat_sigma)
     degrees = A.sum(axis=1)
     L_graph = np.diag(degrees) - A
 
@@ -136,7 +128,7 @@ def train_lpp(dataset: Dataset, config: BaselineConfig) -> TrainedModel:
     log.debug("lpp selected eigenvalues: %s", vals)
     return TrainedModel(
         projection=W,
-        mean_vector=_mean_of(ds),
+        mean_vector=split.data.mean_vector,
         config=config,
         objective_trace=[],
         iterations_run=0,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from nearline.baselines import BaselineConfig
 from nearline.data import SplitSpec, load_csv, load_pgm_dir
-from nearline.evaluate import ExperimentError, fit_method, run_experiment
+from nearline.evaluate import ExperimentError, fit_method, run_experiment, run_experiments
 from nearline.model_io import (
     atomic_write_text,
     load_model,
@@ -249,21 +249,16 @@ def _cmd_evaluate(spec: RunSpec) -> None:
 
 def _cmd_compare(spec: RunSpec) -> None:
     split = SplitSpec(train_fraction=spec.train_frac, seed=spec.seed, repeats=spec.repeats)
-    configs = {
-        (method, dim): _method_config(spec, method, dim)
-        for dim in spec.dims
-        for method in spec.methods
-    }
+    cells = [(method, dim) for dim in spec.dims for method in spec.methods]
+    configs = [_method_config(spec, method, dim) for method, dim in cells]
     dataset = _load_dataset(spec)
+    reports = run_experiments(dataset, configs, split, _classifier_name(spec))
+    means = {cell: report.mean_accuracy for cell, report in zip(cells, reports)}
     rows = []
-    means: dict[tuple[str, int], float] = {}
-    for dim in spec.dims:
-        for method in spec.methods:
-            report = run_experiment(dataset, configs[(method, dim)], split, _classifier_name(spec))
-            means[(method, dim)] = report.mean_accuracy
-            for r, acc in enumerate(report.per_repeat_accuracy):
-                rows.append(f"{method},{dim},{r},{acc!r}")
-            log.info("method=%s d'=%d mean accuracy %.4f", method, dim, report.mean_accuracy)
+    for (method, dim), report in zip(cells, reports):
+        for r, acc in enumerate(report.per_repeat_accuracy):
+            rows.append(f"{method},{dim},{r},{acc!r}")
+        log.info("method=%s d'=%d mean accuracy %.4f", method, dim, report.mean_accuracy)
     atomic_write_text(spec.out, "method,d_prime,repeat,accuracy\n" + "\n".join(rows) + "\n")
 
     # gnuplot-ready wide table: one row per dimension, one column per method

@@ -1,22 +1,22 @@
 """Nearest-neighbor and nearest-line classification plus the repeated
 random-split evaluation protocol.
 
-Every repeat splits the data, fits the projection on the train split only
+Every repeat splits the data, fits each projection on the train split only
 (centering statistics included), projects both splits, and classifies each
-test sample; the report aggregates the per-repeat accuracies.
+test sample; each report aggregates one method's per-repeat accuracies.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from nearline.baselines import BaselineConfig, train_lpp, train_pca
-from nearline.data import Dataset, SplitSpec, split_indices
+from nearline.data import Dataset, SplitSpec, random_split
 from nearline.geometry import line_directions
-from nearline.nlp import TrainConfig, TrainedModel, project, train
+from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, project, train
 
 log = logging.getLogger(__name__)
 
@@ -155,14 +155,14 @@ def classify_nearest_line(
     return int(pred[0]) if single else pred
 
 
-def fit_method(dataset: Dataset, method_config) -> TrainedModel:
+def fit_method(data: Dataset | TrainingSplit, method_config) -> TrainedModel:
     """Dispatch a training config to its method."""
     if isinstance(method_config, TrainConfig):
-        return train(dataset, method_config)
+        return train(data, method_config)
     if isinstance(method_config, BaselineConfig):
         if method_config.method == "pca":
-            return train_pca(dataset, method_config.d_prime)
-        return train_lpp(dataset, method_config)
+            return train_pca(data, method_config.d_prime)
+        return train_lpp(data, method_config)
     raise ValueError(f"unsupported config type {type(method_config).__name__}")
 
 
@@ -176,11 +176,58 @@ def _config_dict(config) -> dict:
     return config_to_dict(config)
 
 
-def _classify_all(model, train_ds: Dataset, test_ds: Dataset, classifier: str) -> np.ndarray:
-    train_y = project(model, train_ds.features)
-    test_y = project(model, test_ds.features)
+def run_experiments(
+    dataset: Dataset, method_configs: list, split: SplitSpec, classifier: str = "nn"
+) -> list[EvalReport]:
+    """Repeated random-split evaluation of several methods on the same splits.
+
+    For every repeat: split, center the train split once as a
+    ``TrainingSplit`` that every config's fit shares (the centering mean and
+    each projection are functions of the train split only), project both
+    splits, classify every test sample with the chosen classifier, and
+    record the accuracy.  One report per config, in order: the arithmetic
+    mean and the population standard deviation over repeats, plus aggregate
+    per-class accuracy pooled across all repeats.
+    """
+    if classifier not in CLASSIFIERS:
+        raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
     classify = classify_1nn if classifier == "nn" else classify_nearest_line
-    return classify(train_y, train_ds.labels, test_y)
+    test_labels: list[np.ndarray] = []
+    hits: list[list[np.ndarray]] = [[] for _ in method_configs]
+    for r in range(split.repeats):
+        try:
+            train_ds, test_ds = random_split(dataset, split, r)
+            test_labels.append(test_ds.labels)
+            shared = TrainingSplit(train_ds)
+            models = [fit_method(shared, config) for config in method_configs]
+            del shared  # its centered copy of the train split is not needed to classify
+            for config, model, config_hits in zip(method_configs, models, hits):
+                train_y, test_y = project(model, train_ds.features), project(model, test_ds.features)
+                config_hits.append(classify(train_y, train_ds.labels, test_y) == test_ds.labels)
+                log.debug("repeat %d %s: accuracy %.4f", r, method_name(config), np.mean(config_hits[-1]))
+        except Exception as exc:
+            raise ExperimentError(f"repeat {r} failed: {exc}") from exc
+        del train_ds, test_ds, models  # freed before the next split is built
+    labels = np.concatenate(test_labels)
+    return [_report(config, labels, config_hits, split, classifier) for config, config_hits in zip(method_configs, hits)]
+
+
+def _report(method_config, labels: np.ndarray, hits: list, split: SplitSpec, classifier: str) -> EvalReport:
+    accuracies = [float(np.mean(h)) for h in hits]
+    pooled = np.concatenate(hits)
+    per_class = {int(c): int(pooled[labels == c].sum()) / int((labels == c).sum()) for c in np.unique(labels)}
+    return EvalReport(
+        per_repeat_accuracy=accuracies,
+        mean_accuracy=float(np.mean(accuracies)),
+        std_accuracy=float(np.std(accuracies)),
+        method=method_name(method_config),
+        config_snapshot={
+            "method_config": _config_dict(method_config),
+            "split": asdict(split),
+            "classifier": classifier,
+        },
+        per_class_accuracy=per_class,
+    )
 
 
 def run_experiment(
@@ -189,52 +236,5 @@ def run_experiment(
     split: SplitSpec,
     classifier: str = "nn",
 ) -> EvalReport:
-    """Repeated random-split evaluation of one method.
-
-    For every repeat: split, fit the projection on the train split (the
-    centering mean and the projection are functions of the train split
-    only), project both splits, classify every test sample with the chosen
-    classifier, and record the accuracy.  Reports the arithmetic mean and
-    the population standard deviation over repeats, plus aggregate per-class
-    accuracy pooled across all repeats.
-    """
-    if classifier not in CLASSIFIERS:
-        raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
-    accuracies: list[float] = []
-    class_correct: dict[int, int] = {}
-    class_total: dict[int, int] = {}
-    for r in range(split.repeats):
-        try:
-            train_idx, test_idx = split_indices(dataset.labels, split, r)
-            train_ds = dataset.subset(train_idx)
-            test_ds = dataset.subset(test_idx)
-            model = fit_method(train_ds, method_config)
-            preds = _classify_all(model, train_ds, test_ds, classifier)
-        except Exception as exc:
-            raise ExperimentError(f"repeat {r} failed: {exc}") from exc
-        hits = preds == test_ds.labels
-        accuracies.append(float(np.mean(hits)))
-        for label, hit in zip(test_ds.labels, hits):
-            label = int(label)
-            class_total[label] = class_total.get(label, 0) + 1
-            class_correct[label] = class_correct.get(label, 0) + int(hit)
-        log.debug("repeat %d: accuracy %.4f", r, accuracies[-1])
-
-    per_class = {c: class_correct[c] / class_total[c] for c in sorted(class_total)}
-    return EvalReport(
-        per_repeat_accuracy=accuracies,
-        mean_accuracy=float(np.mean(accuracies)),
-        std_accuracy=float(np.std(accuracies)),
-        method=method_name(method_config),
-        config_snapshot={
-            "method_config": _config_dict(method_config),
-            "split": {
-                "train_fraction": split.train_fraction,
-                "seed": split.seed,
-                "repeats": split.repeats,
-                "stratified": split.stratified,
-            },
-            "classifier": classifier,
-        },
-        per_class_accuracy=per_class,
-    )
+    """Repeated random-split evaluation of one method (see ``run_experiments``)."""
+    return run_experiments(dataset, [method_config], split, classifier)[0]

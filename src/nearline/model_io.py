@@ -47,7 +47,6 @@ def config_to_dict(config) -> dict:
             "eigen_order": config.eigen_order,
             "init": config.init,
             "seed": config.seed,
-            "center": config.center,
         }
     if isinstance(config, BaselineConfig):
         return {
@@ -70,7 +69,6 @@ def config_from_dict(payload: dict):
             eigen_order=payload["eigen_order"],
             init=payload["init"],
             seed=payload["seed"],
-            center=payload["center"],
         )
     if method in ("pca", "lpp"):
         return BaselineConfig(

@@ -9,13 +9,14 @@ built once, from input-space distances, and never rebuilt.
 
 Every residual is a combination of differences of training rows, so the
 scatter operator lives in the span of the centered training data, of rank
-r <= n - 1.  Training therefore runs in that row space: one SVD per fit gives
-the n x r coordinates the loop works on, and the learned update is lifted
-back to the input space once, at the end.  No d x d matrix is built.
+r <= n - 1.  Training therefore runs in that row space: one SVD per training
+split gives the n x r coordinates the loop works on, and the learned update is
+lifted back to the input space once, at the end.  No d x d matrix is built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -54,7 +55,6 @@ class TrainConfig:
     eigen_order: str = "smallest"
     init: str = "pca"
     seed: int = 0
-    center: bool = True
 
     def __post_init__(self):
         if self.K < 2:
@@ -176,6 +176,29 @@ def build_neighbor_lines(dataset, K: int) -> NeighborLineIndex:
     return NeighborLineIndex(neighbors=neighbors, lines=lines)
 
 
+class TrainingSplit:
+    """A training set centered once (``data``; a centered dataset is kept as
+    is), with its row space and its neighbor/line index per K, each computed
+    on first use and shared by every fit on the split."""
+
+    def __init__(self, dataset: Dataset):
+        self.data = dataset if dataset.centered else center(dataset)
+        self._neighbor_lines: dict[int, NeighborLineIndex] = {}
+
+    @classmethod
+    def of(cls, data: Dataset | TrainingSplit) -> TrainingSplit:
+        return data if isinstance(data, cls) else cls(data)
+
+    @functools.cached_property
+    def row_space(self) -> tuple[np.ndarray, np.ndarray]:
+        return row_space(self.data.features)  # (Z, V_r), see linalg.row_space
+
+    def neighbor_lines(self, K: int) -> NeighborLineIndex:
+        if K not in self._neighbor_lines:
+            self._neighbor_lines[K] = build_neighbor_lines(self.data, K)
+        return self._neighbor_lines[K]
+
+
 def _line_pass(X: np.ndarray, W: np.ndarray, triples):
     """One pass over the lines under projection W: coefficients, validity
     mask and projected residuals.
@@ -291,17 +314,16 @@ def eigen_step(L: np.ndarray, d_prime: int, order: str = "smallest") -> np.ndarr
     return orient_columns(W)
 
 
-def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
+def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     """Fit the nearest-line projection.
 
-    The data is mean-centered first (unless ``config.center`` is false or the
-    dataset is centered already) and the neighbor/line index is built once
-    from input-space distances.  The loop runs on the row-space coordinates
-    ``Z = X V_r`` (see ``linalg.row_space``), where ``X W`` equals
-    ``Z (V_r^T W)``: each iteration assembles the r x r scatter operator under
-    the current projection, replaces the projection through the eigen step,
-    and records the objective of the new one.  One line pass per projection
-    gives both its objective and the operator of the next iteration; a change
+    A plain dataset is wrapped in a ``TrainingSplit``, which centers it; the
+    row space and the neighbor/line index (from input-space distances) are
+    read from the split.  The loop runs on ``Z = X V_r``, where ``X W``
+    equals ``Z (V_r^T W)``: each iteration assembles the r x r scatter
+    operator under the current projection, replaces the projection through
+    the eigen step, and records the objective of the new one.  One line pass
+    per projection gives both its objective and the next operator; a change
     of the degenerate-line mask between two projections, where the objective
     need not decrease, is logged at DEBUG level.  Training stops when the
     relative objective change drops below ``rel_tol`` or after ``max_iters``
@@ -309,32 +331,22 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
     directions orthogonal to the training rows when ``d_prime`` exceeds r.
     Data with a single distinct row (r = 0) is already at the zero objective.
     """
-    n, d = dataset.n, dataset.d
+    split = TrainingSplit.of(data)
+    n, d = split.data.n, split.data.d
     if config.K > n - 1:
         raise ValueError(f"K must be <= n - 1 = {n - 1}, got {config.K}")
     if config.d_prime > d:
         raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
 
-    if dataset.centered:
-        ds = dataset
-        mean_vector = dataset.mean_vector if dataset.mean_vector is not None else np.zeros(d)
-    elif config.center:
-        ds = center(dataset)
-        mean_vector = ds.mean_vector
-    else:
-        ds = dataset
-        mean_vector = np.zeros(d)
-
-    Z, V = row_space(ds.features)
+    Z, V = split.row_space
     r = V.shape[1]
     if config.init == "pca":
         W = orient_columns(complete_basis(V, config.d_prime))
     else:
-        W = np.eye(d)[:, : config.d_prime]
+        W = np.eye(d, config.d_prime)
     W_z = V.T @ W
 
-    index = build_neighbor_lines(ds, config.K)
-    triples = index.flat_triples()
+    triples = split.neighbor_lines(config.K).flat_triples()
 
     alpha, ok, rho = _line_pass(Z, W_z, triples)
     objective_prev = _objective_of(ok, rho)
@@ -343,7 +355,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
     if config.max_iters == 0 or r == 0:
         return TrainedModel(
             projection=W,
-            mean_vector=np.array(mean_vector, dtype=float),
+            mean_vector=split.data.mean_vector,
             config=config,
             objective_trace=[objective_prev],
             iterations_run=0,
@@ -383,7 +395,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainedModel:
 
     return TrainedModel(
         projection=orient_columns(complete_basis(V @ W_z, config.d_prime)),
-        mean_vector=np.array(mean_vector, dtype=float),
+        mean_vector=split.data.mean_vector,
         config=config,
         objective_trace=trace,
         iterations_run=iterations,

@@ -3,6 +3,21 @@
 Prints one PASS/FAIL line per acceptance criterion at the end of the run.
 """
 
+from unittest import mock
+
+import pytest
+
+import nearline.nlp
+
+
+@pytest.fixture()
+def split_work_spies():
+    """Spies counting the row-space SVDs and the neighbor searches a test runs."""
+    nlp = nearline.nlp
+    with mock.patch.object(nlp, "row_space", wraps=nlp.row_space) as rs, \
+            mock.patch.object(nlp, "k_nearest_neighbors", wraps=nlp.k_nearest_neighbors) as knn:
+        yield rs, knn
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     reports = []

@@ -99,7 +99,7 @@ class TestLpp:
         cfg = BaselineConfig(method="lpp", d_prime=3, K=5)
         model = train_lpp(ds, cfg)
         X = center(ds).features
-        A = _knn_affinity(X, cfg.K, cfg.heat_sigma)
+        A = _knn_affinity(X, k_nearest_neighbors(X, cfg.K), cfg.heat_sigma)
         degrees = A.sum(axis=1)
         M_deg = X.T @ (degrees[:, None] * X)
         gram = model.projection.T @ M_deg @ model.projection
@@ -153,13 +153,15 @@ class TestKnnAffinity:
     def test_matches_loop_oracle_bitwise(self, seed, heat_sigma):
         X = center(manifold_classes(n_per_class=12, ambient_dim=30, seed=seed)).features
         for K in (1, 3, 8):
-            assert np.array_equal(_knn_affinity(X, K, heat_sigma), loop_affinity(X, K, heat_sigma))
+            assert np.array_equal(
+                _knn_affinity(X, k_nearest_neighbors(X, K), heat_sigma), loop_affinity(X, K, heat_sigma)
+            )
 
     def test_duplicates_and_one_sided_neighbors(self):
         # duplicated rows give zero distances (weight 1, left out of the auto
         # width); the far point is nobody's neighbor but has neighbors itself
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [9.0, 9.0]])
-        A = _knn_affinity(X, 2, "auto")
+        A = _knn_affinity(X, k_nearest_neighbors(X, 2), "auto")
         assert np.array_equal(A, loop_affinity(X, 2, "auto"))
         assert np.array_equal(A, A.T)
         assert A[0, 1] == 1.0 and A[4, 3] > 0.0

@@ -165,6 +165,16 @@ class TestCompareCommand:
         assert table[0] == "# d_prime nlp pca"
         assert len(table) == 3
 
+    def test_one_row_space_and_one_neighbor_search_per_repeat(self, blob_csv, tmp_path, split_work_spies):
+        rs, knn = split_work_spies
+        code = main([
+            "compare", "--data", str(blob_csv), "--methods", "nlp,pca,lpp", "--dims", "2,5,8",
+            "--k", "4", "--max-iters", "3", "--train-frac", "0.5", "--repeats", "4", "--seed", "2",
+            "--out", str(tmp_path / "cmp.csv"), "--quiet",
+        ])
+        assert code == 0
+        assert (rs.call_count, knn.call_count) == (4, 4)
+
     def test_requires_two_methods(self, blob_csv, tmp_path, capsys):
         code = main([
             "compare", "--data", str(blob_csv), "--methods", "nlp", "--dims", "2",

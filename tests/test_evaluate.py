@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from unittest import mock
@@ -15,11 +16,12 @@ from nearline.evaluate import (
     classify_1nn,
     classify_nearest_line,
     run_experiment,
+    run_experiments,
 )
 from nearline.geometry import DegenerateLineError, point_line_sqdist
 from nearline.model_io import report_json
 from nearline.nlp import TrainConfig
-from nearline.synthetic import gaussian_blobs, separable_clusters
+from nearline.synthetic import gaussian_blobs, manifold_classes, separable_clusters
 
 
 def exhaustive_1nn(train, labels, query):
@@ -383,3 +385,50 @@ class TestRunExperiment:
             model_corrupt = fit_method(ds2.subset(train_idx), cfg)
             assert np.array_equal(model_clean.projection, model_corrupt.projection)
             assert np.array_equal(model_clean.mean_vector, model_corrupt.mean_vector)
+
+
+class TestRunExperiments:
+    # rank 7 in d = 20 (noise is added before the embedding), so d' = 9
+    # exceeds the rank of every training split
+    DATA = dict(n_per_class=12, ambient_dim=20, seed=4)
+    SPLIT = SplitSpec(train_fraction=0.5, seed=17, repeats=3)
+
+    def configs(self):
+        return [
+            config
+            for d_prime in (2, 9)
+            for K in (3, 5)
+            for config in (
+                TrainConfig(K=K, d_prime=d_prime, max_iters=6),
+                BaselineConfig("pca", d_prime),
+                BaselineConfig("lpp", d_prime, K=K),
+            )
+        ]
+
+    def test_equals_one_run_per_config(self):
+        ds = manifold_classes(**self.DATA)
+        assert np.linalg.matrix_rank(ds.features - ds.features.mean(axis=0)) < 9
+        configs = self.configs()
+        batch = run_experiments(ds, configs, self.SPLIT)
+        assert len(batch) == len(configs)
+        for config, report in zip(configs, batch):
+            single = run_experiment(ds, config, self.SPLIT)
+            for field in dataclasses.fields(report):
+                assert getattr(report, field.name) == getattr(single, field.name), field.name
+
+    def test_one_row_space_per_repeat_and_one_search_per_k(self, split_work_spies):
+        rs, knn = split_work_spies
+        run_experiments(manifold_classes(**self.DATA), self.configs(), self.SPLIT)
+        assert (rs.call_count, knn.call_count) == (self.SPLIT.repeats, 2 * self.SPLIT.repeats)
+
+    def test_pca_alone_builds_no_row_space_or_neighbors(self, split_work_spies):
+        rs, knn = split_work_spies
+        pca_only = [BaselineConfig("pca", 2), BaselineConfig("pca", 5)]
+        run_experiments(manifold_classes(**self.DATA), pca_only, self.SPLIT)
+        assert (rs.call_count, knn.call_count) == (0, 0)
+
+    def test_failing_config_reports_repeat(self):
+        ds = gaussian_blobs(n_per_class=4, n_classes=2, d=10, seed=7)
+        split = SplitSpec(train_fraction=0.5, seed=3, repeats=2)
+        with pytest.raises(ExperimentError, match="repeat 0"):
+            run_experiments(ds, [BaselineConfig("pca", 2), BaselineConfig("pca", 6)], split)

@@ -62,6 +62,21 @@ class TestModelFile:
         x = np.arange(6.0)
         assert np.array_equal(project(loaded, x), project(model, x))
 
+    def test_schema_1_file_with_center_key_loads(self, tmp_path):
+        # files written while TrainConfig had a ``center`` field carry the key;
+        # a fit with center=False saved a zero mean_vector
+        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=5)
+        model = train(ds, TrainConfig(K=3, d_prime=2))
+        assert "center" not in model_to_dict(model)["train_config"]
+        model.mean_vector = np.zeros(6)
+        payload = model_to_dict(model)
+        payload["train_config"]["center"] = False
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert np.array_equal(project(loaded, ds.features), project(model, ds.features))
+
     def test_round_trip_baseline_config(self, tmp_path):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)
         model = train_pca(ds, 3)
@@ -90,7 +105,7 @@ class TestConfigDicts:
     @pytest.mark.parametrize(
         "config",
         [
-            TrainConfig(K=5, d_prime=10, max_iters=30, rel_tol=1e-7, eigen_order="largest", init="identity", seed=4, center=False),
+            TrainConfig(K=5, d_prime=10, max_iters=30, rel_tol=1e-7, eigen_order="largest", init="identity", seed=4),
             BaselineConfig("pca", 7),
             BaselineConfig("lpp", 4, K=9, heat_sigma=0.5),
         ],

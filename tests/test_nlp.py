@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,18 @@ class TestTrain:
         model = train(ds, TrainConfig(K=3, d_prime=2, init="identity", max_iters=0))
         assert np.array_equal(model.projection, np.eye(6)[:, :2])
 
+    def test_identity_init_builds_no_d_by_d_matrix(self):
+        # np.eye(d) alone would take 128 MB at d = 4000
+        ds = random_dataset(np.random.default_rng(14), 12, 4000)
+        tracemalloc.start()
+        try:
+            model = train(ds, TrainConfig(K=3, d_prime=4, init="identity", max_iters=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.projection.shape == (4000, 4)
+        assert peak < 16 * 2**20
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="K must be >= 2"):
             TrainConfig(K=1, d_prime=2)
@@ -400,11 +413,6 @@ class TestTrain:
         train(random_dataset(rng, n, d), TrainConfig(K=4, d_prime=5, max_iters=3, rel_tol=0.0))
         assert len(shapes) == 3
         assert all(shape[0] <= n - 1 and shape[1] <= n - 1 for shape in shapes)
-
-    def test_uncentered_training_disabled_centering(self):
-        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=5)
-        model = train(ds, TrainConfig(K=3, d_prime=2, center=False))
-        assert np.array_equal(model.mean_vector, np.zeros(6))
 
 
 @st.composite
@@ -628,9 +636,9 @@ class TestSingleLinePass:
 class TestProject:
     def test_identity_columns_select_coordinates(self):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=6)
-        model = train(ds, TrainConfig(K=3, d_prime=3, init="identity", max_iters=0, center=False))
+        model = train(ds, TrainConfig(K=3, d_prime=3, init="identity", max_iters=0))
         x = np.arange(6.0)
-        assert np.array_equal(project(model, x), x[:3])
+        assert np.array_equal(project(model, x), (x - model.mean_vector)[:3])
 
     def test_projection_contracts_norm(self):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=8, seed=7)
