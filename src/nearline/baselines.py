@@ -49,16 +49,19 @@ class BaselineConfig:
 
 
 def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
-    """Top principal directions of the centered data, deterministic signs."""
-    ds = TrainingSplit.of(data).data
-    n, d = ds.n, ds.d
+    """Top principal directions of the centered data, deterministic signs.
+
+    The directions come from the split's row-space SVD, the basis that nlp
+    training starts from; past the rank of the data they are completed with
+    unit directions orthogonal to every training row.
+    """
+    split = TrainingSplit.of(data)
+    n, d = split.data.n, split.data.d
     if not 1 <= d_prime <= min(n - 1, d):
         raise ValueError(f"d_prime must be in [1, {min(n - 1, d)}] for PCA, got {d_prime}")
-    _, _, Vt = np.linalg.svd(ds.features, full_matrices=False)
-    W = orient_columns(Vt[:d_prime].T)
     return TrainedModel(
-        projection=W,
-        mean_vector=ds.mean_vector,
+        projection=split.principal_basis(d_prime),
+        mean_vector=split.data.mean_vector,
         config=BaselineConfig(method="pca", d_prime=d_prime),
         objective_trace=[],
         iterations_run=0,

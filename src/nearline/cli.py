@@ -16,13 +16,7 @@ from pathlib import Path
 from nearline.baselines import BaselineConfig
 from nearline.data import SplitSpec, load_csv, load_pgm_dir
 from nearline.evaluate import ExperimentError, fit_method, run_experiment, run_experiments
-from nearline.model_io import (
-    atomic_write_text,
-    load_model,
-    report_csv,
-    report_json,
-    save_model,
-)
+from nearline.model_io import atomic_write_text, load_model, save_model, save_report
 from nearline.nlp import TrainConfig, project
 
 log = logging.getLogger(__name__)
@@ -192,7 +186,6 @@ def _method_config(spec: RunSpec, method: str, d_prime: int):
             rel_tol=spec.tol,
             eigen_order=spec.eigen_order,
             init=spec.init,
-            seed=spec.seed,
         )
     if method == "pca":
         return BaselineConfig(method="pca", d_prime=d_prime)
@@ -241,9 +234,7 @@ def _cmd_evaluate(spec: RunSpec) -> None:
     split = SplitSpec(train_fraction=spec.train_frac, seed=spec.seed, repeats=spec.repeats)
     dataset = _load_dataset(spec)
     report = run_experiment(dataset, config, split, _classifier_name(spec))
-    atomic_write_text(spec.out, report_json(report))
-    csv_path = _sibling_path(spec.out, ".csv")
-    atomic_write_text(csv_path, report_csv(report))
+    save_report(report, spec.out, _sibling_path(spec.out, ".csv"))
     print(f"accuracy: {report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
 
 

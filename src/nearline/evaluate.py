@@ -15,7 +15,8 @@ import numpy as np
 
 from nearline.baselines import BaselineConfig, train_lpp, train_pca
 from nearline.data import Dataset, SplitSpec, random_split
-from nearline.geometry import line_directions
+from nearline.geometry import project_onto_lines
+from nearline.model_io import config_to_dict
 from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, project, train
 
 log = logging.getLogger(__name__)
@@ -108,11 +109,12 @@ def classify_nearest_line(
     ``within_class`` restricts candidate lines to pairs sharing a class and
     returns that class; ``all_pairs`` searches every pair and returns the
     label of the pair endpoint nearer to the query.  Degenerate pairs are
-    skipped; ties go to the lexicographically smaller pair.  A 1-D query
-    returns an ``int``; a 2-D block with one query per row returns an int
-    array.  The candidate pairs are enumerated once per call; their lines
-    are built and scored in blocks, against memory-bounded chunks of the
-    queries, keeping each query's first minimum across blocks.
+    never chosen (their distance counts as infinite); ties go to the
+    lexicographically smaller pair.  A 1-D query returns an ``int``; a 2-D
+    block with one query per row returns an int array.  The candidate pairs
+    are enumerated once per call; their lines are scored in blocks, against
+    memory-bounded chunks of the queries, keeping each query's first minimum
+    across blocks.
     """
     T = np.asarray(train_projected, dtype=float)
     labels = np.asarray(train_labels)
@@ -126,22 +128,17 @@ def classify_nearest_line(
     block = max(1, CHUNK_ELEMENTS // max(1, T.shape[1]))
     for start in range(0, pairs.shape[0], block):
         block_pairs = pairs[start : start + block]
-        Djk, gap, ok = line_directions(T[block_pairs[:, 0]], T[block_pairs[:, 1]])
-        if not ok.any():
-            continue
-        any_line = True
-        index = start + np.flatnonzero(ok)
-        Djk, gap, Pk = Djk[ok], gap[ok], T[block_pairs[ok, 1]]
-        for rows in _chunks(Q.shape[0], Djk.size):
-            Dqk = Q[rows, None, :] - Pk
-            alpha = np.einsum("qij,ij->qi", Dqk, Djk) / gap
-            rho = Dqk - alpha[:, :, None] * Djk
+        Pj, Pk = T[block_pairs[:, 0]], T[block_pairs[:, 1]]
+        for rows in _chunks(Q.shape[0], Pj.size):
+            _, rho, ok = project_onto_lines(Q[rows, None, :], Pj, Pk)
             dist = np.einsum("qij,qij->qi", rho, rho)
+            dist[:, ~ok] = np.inf
+            any_line = any_line or bool(ok.any())
             first, first_dist = np.argmin(dist, axis=1), np.min(dist, axis=1)
             # strict <: an equal distance in a later block keeps the earlier pair
             better = (first_dist < best_dist[rows]) | (best[rows] < 0)
             best_dist[rows] = np.where(better, first_dist, best_dist[rows])
-            best[rows] = np.where(better, index[first], best[rows])
+            best[rows] = np.where(better, start + first, best[rows])
     if not any_line:
         raise ValueError("all candidate pairs are degenerate")
     j, k = pairs[best, 0], pairs[best, 1]
@@ -168,12 +165,6 @@ def fit_method(data: Dataset | TrainingSplit, method_config) -> TrainedModel:
 
 def method_name(method_config) -> str:
     return "nlp" if isinstance(method_config, TrainConfig) else method_config.method
-
-
-def _config_dict(config) -> dict:
-    from nearline.model_io import config_to_dict  # local import, avoids a cycle
-
-    return config_to_dict(config)
 
 
 def run_experiments(
@@ -222,7 +213,7 @@ def _report(method_config, labels: np.ndarray, hits: list, split: SplitSpec, cla
         std_accuracy=float(np.std(accuracies)),
         method=method_name(method_config),
         config_snapshot={
-            "method_config": _config_dict(method_config),
+            "method_config": config_to_dict(method_config),
             "split": asdict(split),
             "classifier": classifier,
         },

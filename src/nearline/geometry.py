@@ -46,20 +46,28 @@ def is_degenerate_line(a, b) -> bool:
     return gap_sq < DEGENERACY_RTOL * scale
 
 
-def line_directions(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise line terms for arrays of endpoints ``A`` and ``B`` (m x d).
+def project_onto_lines(P, A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closest points of ``P`` on the lines through ``A`` and ``B``.
 
-    Returns ``(D, gap_sq, ok)``: the directions ``D = A - B``, their squared
-    norms, and the mask of lines that are not degenerate, the vectorised
-    negation of ``is_degenerate_line`` (``gap_sq >= DEGENERACY_RTOL *
-    max(1, |a|^2, |b|^2)`` per row).
+    The vectorised form of ``line_alpha`` and ``line_residual``: the last axis
+    holds coordinates and the other axes broadcast, so (m, d) arrays give one
+    point per line, and ``P`` of shape (q, 1, d) against (m, d) endpoints
+    scores every point against every line.  Returns ``(alpha, rho, ok)``: the
+    coefficients, the residuals ``P - B - alpha (A - B)`` and the mask of
+    lines that are not degenerate, the negation of ``is_degenerate_line``
+    (``|a - b|^2 >= DEGENERACY_RTOL * max(1, |a|^2, |b|^2)``).  A degenerate
+    line gets ``alpha = 0``, so its residual is ``P - B``.
     """
     D = A - B
-    gap_sq = np.einsum("ij,ij->i", D, D)
-    na = np.einsum("ij,ij->i", A, A)
-    nb = np.einsum("ij,ij->i", B, B)
+    gap_sq = np.einsum("...j,...j->...", D, D)
+    na = np.einsum("...j,...j->...", A, A)
+    nb = np.einsum("...j,...j->...", B, B)
     ok = gap_sq >= DEGENERACY_RTOL * np.maximum(1.0, np.maximum(na, nb))
-    return D, gap_sq, ok
+    rho = P - B
+    alpha = np.zeros(rho.shape[:-1])
+    np.divide(np.einsum("...j,...j->...", rho, D), gap_sq, out=alpha, where=ok)
+    rho -= alpha[..., None] * D
+    return alpha, rho, ok
 
 
 def line_alpha(point, a, b) -> float:
@@ -80,8 +88,7 @@ def line_alpha(point, a, b) -> float:
     _check_dims(point, a, b)
     direction = a - b
     denom = float(direction @ direction)
-    scale = max(1.0, float(a @ a), float(b @ b))
-    if denom < DEGENERACY_RTOL * scale:
+    if is_degenerate_line(a, b):
         raise DegenerateLineError(
             f"line through (nearly) coincident points: |a - b|^2 = {denom:.3e}"
         )

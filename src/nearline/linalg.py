@@ -35,21 +35,20 @@ def sym_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(sym)
 
 
-def row_space(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of ``features`` in the span of its centered rows.
+def row_space(features: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of the centered rows of ``features``.
 
     One thin SVD of the column-centered rows, ``Xc = U S V^T``.  Singular
     values at or below ``S[0] * max(n, d) * eps`` are dropped, leaving rank r.
-    Returns ``(Z, V_r)``: ``V_r`` (d x r) holds the principal directions in
-    decreasing order of variance, oriented, and ``Z = features @ V_r``
-    (n x r).  Every difference of two rows lies in the span of ``V_r``, so
-    ``features @ (V_r @ B)`` equals ``Z @ B`` for any r-row matrix B.
+    Returns ``V_r`` (d x r): the principal directions in decreasing order of
+    variance, oriented.  Every difference of two rows lies in the span of
+    ``V_r``, so with ``Z = features @ V_r``, ``features @ (V_r @ B)`` equals
+    ``Z @ B`` for any r-row matrix B.
     """
     X = np.asarray(features, dtype=float)
     _, S, Vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
     tol = S[0] * max(X.shape) * np.finfo(float).eps if S.size else 0.0
-    V_r = orient_columns(Vt[S > tol].T)
-    return X @ V_r, V_r
+    return orient_columns(Vt[S > tol].T)
 
 
 def complete_basis(V: np.ndarray, k: int) -> np.ndarray:

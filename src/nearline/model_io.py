@@ -11,13 +11,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from nearline.baselines import BaselineConfig
-from nearline.evaluate import EvalReport
 from nearline.nlp import TrainConfig, TrainedModel
+
+if TYPE_CHECKING:
+    from nearline.evaluate import EvalReport
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -38,46 +42,21 @@ def atomic_write_text(path, text: str) -> None:
 
 def config_to_dict(config) -> dict:
     if isinstance(config, TrainConfig):
-        return {
-            "method": "nlp",
-            "K": config.K,
-            "d_prime": config.d_prime,
-            "max_iters": config.max_iters,
-            "rel_tol": config.rel_tol,
-            "eigen_order": config.eigen_order,
-            "init": config.init,
-            "seed": config.seed,
-        }
+        return {"method": "nlp", **asdict(config)}
     if isinstance(config, BaselineConfig):
-        return {
-            "method": config.method,
-            "d_prime": config.d_prime,
-            "K": config.K,
-            "heat_sigma": config.heat_sigma,
-        }
+        return asdict(config)
     raise ValueError(f"unsupported config type {type(config).__name__}")
 
 
 def config_from_dict(payload: dict):
+    """The config a ``config_to_dict`` payload describes; keys that are not
+    fields of its class (``method`` of nlp, or ``center`` and ``seed`` in
+    older files) are ignored, and missing optional fields take defaults."""
     method = payload.get("method")
-    if method == "nlp":
-        return TrainConfig(
-            K=payload["K"],
-            d_prime=payload["d_prime"],
-            max_iters=payload["max_iters"],
-            rel_tol=payload["rel_tol"],
-            eigen_order=payload["eigen_order"],
-            init=payload["init"],
-            seed=payload["seed"],
-        )
-    if method in ("pca", "lpp"):
-        return BaselineConfig(
-            method=method,
-            d_prime=payload["d_prime"],
-            K=payload.get("K", 5),
-            heat_sigma=payload.get("heat_sigma", "auto"),
-        )
-    raise ValueError(f"unknown method in model file: {method!r}")
+    if method not in ("nlp", "pca", "lpp"):
+        raise ValueError(f"unknown method in model file: {method!r}")
+    cls = TrainConfig if method == "nlp" else BaselineConfig
+    return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
 
 
 def model_to_dict(model: TrainedModel) -> dict:
@@ -102,25 +81,36 @@ def load_model(path) -> TrainedModel:
     """Rebuild a TrainedModel from its JSON file.
 
     Only the serialized fields are recoverable; iterations_run is inferred
-    from the objective trace and the convergence flag is not stored.
+    from the objective trace and the convergence flag is not stored.  A file
+    of the wrong shape raises ValueError naming the problem.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"model file must hold a JSON object, not {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version: {version!r}")
+    missing = sorted({"d", "d_prime", "mean_vector", "projection_columns", "train_config",
+                      "objective_trace"} - payload.keys())
+    if missing:
+        raise ValueError(f"model file lacks the keys {missing}")
     d, d_prime = payload["d"], payload["d_prime"]
-    columns = payload["projection_columns"]
-    if len(columns) != d_prime or any(len(col) != d for col in columns):
-        raise ValueError("projection_columns do not match the stated d and d_prime")
-    W = np.array(columns, dtype=float).T
-    mean = np.array(payload["mean_vector"], dtype=float)
-    if mean.shape != (d,):
-        raise ValueError(f"mean_vector must have length {d}")
-    trace = [float(v) for v in payload["objective_trace"]]
+    try:
+        columns = payload["projection_columns"]
+        if len(columns) != d_prime or any(len(col) != d for col in columns):
+            raise ValueError("projection_columns do not match the stated d and d_prime")
+        W = np.array(columns, dtype=float).T
+        mean = np.array(payload["mean_vector"], dtype=float)
+        if mean.shape != (d,):
+            raise ValueError(f"mean_vector must have length {d}")
+        trace = [float(v) for v in payload["objective_trace"]]
+        config = config_from_dict(payload["train_config"])
+    except (TypeError, AttributeError) as exc:  # a value of the wrong JSON type
+        raise ValueError(f"malformed model file: {exc}") from None
     return TrainedModel(
         projection=W,
         mean_vector=mean,
-        config=config_from_dict(payload["train_config"]),
+        config=config,
         objective_trace=trace,
         iterations_run=len(trace),
         converged=False,

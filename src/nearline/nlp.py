@@ -10,8 +10,9 @@ built once, from input-space distances, and never rebuilt.
 Every residual is a combination of differences of training rows, so the
 scatter operator lives in the span of the centered training data, of rank
 r <= n - 1.  Training therefore runs in that row space: one SVD per training
-split gives the n x r coordinates the loop works on, and the learned update is
-lifted back to the input space once, at the end.  No d x d matrix is built.
+split gives its basis V_r, the loop works on the n x r coordinates X V_r, and
+the learned update is lifted back to the input space once, at the end.  No
+d x d matrix is built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearline.data import Dataset, center
-from nearline.geometry import line_directions
+from nearline.geometry import project_onto_lines
 from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 
 log = logging.getLogger(__name__)
@@ -54,7 +55,6 @@ class TrainConfig:
     rel_tol: float = 1e-6
     eigen_order: str = "smallest"
     init: str = "pca"
-    seed: int = 0
 
     def __post_init__(self):
         if self.K < 2:
@@ -69,8 +69,6 @@ class TrainConfig:
             raise ValueError(f"eigen_order must be 'smallest' or 'largest', got {self.eigen_order!r}")
         if self.init not in ("pca", "identity"):
             raise ValueError(f"init must be 'pca' or 'identity', got {self.init!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,8 @@ def build_neighbor_lines(dataset, K: int) -> NeighborLineIndex:
 
 class TrainingSplit:
     """A training set centered once (``data``; a centered dataset is kept as
-    is), with its row space and its neighbor/line index per K, each computed
-    on first use and shared by every fit on the split."""
+    is), with its row-space basis and its neighbor/line index per K, each
+    computed on first use and shared by every fit on the split."""
 
     def __init__(self, dataset: Dataset):
         self.data = dataset if dataset.centered else center(dataset)
@@ -190,8 +188,13 @@ class TrainingSplit:
         return data if isinstance(data, cls) else cls(data)
 
     @functools.cached_property
-    def row_space(self) -> tuple[np.ndarray, np.ndarray]:
-        return row_space(self.data.features)  # (Z, V_r), see linalg.row_space
+    def row_space(self) -> np.ndarray:
+        return row_space(self.data.features)  # V_r, see linalg.row_space
+
+    def principal_basis(self, k: int) -> np.ndarray:
+        """The top k principal directions (d x k), oriented; past the rank r,
+        deterministic unit directions orthogonal to every training row."""
+        return orient_columns(complete_basis(self.row_space, k))
 
     def neighbor_lines(self, K: int) -> NeighborLineIndex:
         if K not in self._neighbor_lines:
@@ -211,12 +214,9 @@ def _line_pass(X: np.ndarray, W: np.ndarray, triples):
     """
     i_idx, j_idx, k_idx = triples
     Y = X @ W
-    Yk = Y.take(k_idx, axis=0)
-    Djk, gap, ok = line_directions(Y.take(j_idx, axis=0), Yk)
-    rho = Y.take(i_idx, axis=0) - Yk
-    alpha = np.zeros_like(gap)
-    np.divide(np.einsum("ij,ij->i", rho, Djk), gap, out=alpha, where=ok)
-    rho -= alpha[:, None] * Djk
+    alpha, rho, ok = project_onto_lines(
+        Y.take(i_idx, axis=0), Y.take(j_idx, axis=0), Y.take(k_idx, axis=0)
+    )
     skipped = ok.size - np.count_nonzero(ok)
     if skipped:
         log.debug("skipped %d degenerate projected lines (of %d)", skipped, ok.size)
@@ -318,16 +318,16 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     """Fit the nearest-line projection.
 
     A plain dataset is wrapped in a ``TrainingSplit``, which centers it; the
-    row space and the neighbor/line index (from input-space distances) are
-    read from the split.  The loop runs on ``Z = X V_r``, where ``X W``
-    equals ``Z (V_r^T W)``: each iteration assembles the r x r scatter
-    operator under the current projection, replaces the projection through
-    the eigen step, and records the objective of the new one.  One line pass
-    per projection gives both its objective and the next operator; a change
-    of the degenerate-line mask between two projections, where the objective
-    need not decrease, is logged at DEBUG level.  Training stops when the
-    relative objective change drops below ``rel_tol`` or after ``max_iters``
-    iterations.  The result ``V_r W_z`` is completed with deterministic
+    row-space basis ``V_r``, the PCA initialization and the neighbor/line
+    index (from input-space distances) are read from the split.  The loop
+    runs on ``Z = X V_r``, where ``X W`` equals ``Z (V_r^T W)``: each
+    iteration assembles the r x r scatter operator under the current
+    projection, replaces the projection through the eigen step, and records
+    the objective of the new one.  One line pass per projection gives both
+    its objective and the next operator; a change of the degenerate-line
+    mask between two projections, where the objective need not decrease, is
+    logged at DEBUG level.  Training stops when the relative objective
+    change drops below ``rel_tol`` or after ``max_iters`` iterations.  The result ``V_r W_z`` is completed with deterministic
     directions orthogonal to the training rows when ``d_prime`` exceeds r.
     Data with a single distinct row (r = 0) is already at the zero objective.
     """
@@ -338,10 +338,11 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     if config.d_prime > d:
         raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
 
-    Z, V = split.row_space
+    V = split.row_space
+    Z = split.data.features @ V
     r = V.shape[1]
     if config.init == "pca":
-        W = orient_columns(complete_basis(V, config.d_prime))
+        W = split.principal_basis(config.d_prime)
     else:
         W = np.eye(d, config.d_prime)
     W_z = V.T @ W

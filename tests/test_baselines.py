@@ -10,7 +10,7 @@ import nearline
 from nearline.baselines import BaselineConfig, _knn_affinity, train_lpp, train_pca
 from nearline.data import Dataset, center
 from nearline.evaluate import fit_method
-from nearline.nlp import TrainedModel, k_nearest_neighbors, project
+from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, k_nearest_neighbors, project, train
 from nearline.synthetic import manifold_classes
 
 
@@ -71,6 +71,17 @@ class TestPca:
         b = train_pca(ds, 4)
         assert np.array_equal(a.projection, b.projection)
         assert np.abs(a.projection.T @ a.projection - np.eye(4)).max() < 1e-10
+
+    @pytest.mark.parametrize("d_prime", [2, 7, 9, 12])
+    def test_equals_nlp_initialization(self, d_prime):
+        # rank 7 in d = 20, so d' = 9 and 12 take directions past the rank
+        ds = manifold_classes(n_per_class=6, ambient_dim=20, seed=11)
+        assert np.linalg.matrix_rank(center(ds).features) == 7
+        init = train(ds, TrainConfig(K=3, d_prime=d_prime, max_iters=0)).projection
+        assert np.array_equal(train_pca(ds, d_prime).projection, init)
+        split = TrainingSplit(ds)
+        assert np.array_equal(train_pca(split, d_prime).projection, init)
+        assert np.array_equal(train(split, TrainConfig(K=3, d_prime=d_prime, max_iters=0)).projection, init)
 
     def test_d_prime_too_large(self):
         rng = np.random.default_rng(5)

@@ -96,6 +96,18 @@ class TestTrainCommand:
             assert code == 0
             assert json.loads(out.read_text())["train_config"]["method"] == method
 
+    def test_seed_does_not_reach_the_model(self, blob_csv, tmp_path):
+        # --seed seeds the evaluation splits only; training is deterministic
+        texts = []
+        for seed in ("0", "5"):
+            out = tmp_path / f"m{seed}.json"
+            assert main([
+                "train", "--data", str(blob_csv), "--dim", "3", "--seed", seed, "--out", str(out), "--quiet",
+            ]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert "seed" not in json.loads(texts[0])["train_config"]
+
 
 class TestProjectCommand:
     def test_projects_to_csv(self, blob_csv, tmp_path):
@@ -111,6 +123,27 @@ class TestProjectCommand:
         rows = out.read_text().strip().split("\n")
         assert len(rows) == 36
         assert len(rows[0].split(",")) == 4  # 3 projected coordinates + label
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda payload: {k: v for k, v in payload.items() if k != "d_prime"}, "lacks the keys ['d_prime']"),
+            (lambda payload: [payload], "JSON object, not list"),
+        ],
+    )
+    def test_malformed_model_exits_1(self, blob_csv, tmp_path, capsys, edit, message):
+        model_path = tmp_path / "m.json"
+        assert main([
+            "train", "--data", str(blob_csv), "--dim", "3", "--out", str(model_path), "--quiet",
+        ]) == 0
+        model_path.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+        out = tmp_path / "projected.csv"
+        code = main([
+            "project", "--data", str(blob_csv), "--model", str(model_path), "--out", str(out), "--quiet",
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

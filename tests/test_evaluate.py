@@ -421,11 +421,12 @@ class TestRunExperiments:
         run_experiments(manifold_classes(**self.DATA), self.configs(), self.SPLIT)
         assert (rs.call_count, knn.call_count) == (self.SPLIT.repeats, 2 * self.SPLIT.repeats)
 
-    def test_pca_alone_builds_no_row_space_or_neighbors(self, split_work_spies):
+    def test_pca_dims_share_one_svd_and_search_no_neighbors(self, split_work_spies):
         rs, knn = split_work_spies
         pca_only = [BaselineConfig("pca", 2), BaselineConfig("pca", 5)]
-        run_experiments(manifold_classes(**self.DATA), pca_only, self.SPLIT)
-        assert (rs.call_count, knn.call_count) == (0, 0)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            run_experiments(manifold_classes(**self.DATA), pca_only, self.SPLIT)
+        assert (svd.call_count, rs.call_count, knn.call_count) == (self.SPLIT.repeats, self.SPLIT.repeats, 0)
 
     def test_failing_config_reports_repeat(self):
         ds = gaussian_blobs(n_per_class=4, n_classes=2, d=10, seed=7)

@@ -9,6 +9,7 @@ from nearline.geometry import (
     line_alpha,
     line_residual,
     point_line_sqdist,
+    project_onto_lines,
 )
 
 
@@ -205,3 +206,53 @@ class TestProperties:
         dist = point_line_sqdist(point, a, b)
         bound = min(float((point - a) @ (point - a)), float((point - b) @ (point - b)))
         assert dist <= bound + 1e-9
+
+
+@st.composite
+def line_batches(draw):
+    """Points and lines in any dimension, some lines through coincident or
+    nearly coincident endpoints, some points repeated or on an endpoint."""
+    m = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    P, A, B = (scale * rng.normal(size=(m, d)) for _ in range(3))
+    coincide = rng.random(m) < draw(st.floats(0, 1))
+    B[coincide] = A[coincide] + draw(st.sampled_from([0.0, 1e-9, 1e-3])) * scale * rng.normal(size=d)
+    repeat = rng.random(m) < 0.2
+    P[repeat] = P[0]
+    on_end = rng.random(m) < 0.2
+    P[on_end] = B[on_end]
+    return P, A, B
+
+
+class TestProjectOntoLines:
+    @given(line_batches())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_scalar_functions(self, batch):
+        P, A, B = batch
+        alpha, rho, ok = project_onto_lines(P, A, B)
+        assert alpha.shape == ok.shape == (P.shape[0],) and rho.shape == P.shape
+        for p, a, b, t, r, kept in zip(P, A, B, alpha, rho, ok):
+            assert kept == (not is_degenerate_line(a, b))
+            if kept:
+                scale = np.linalg.norm(p - b) / np.linalg.norm(a - b)
+                assert t == pytest.approx(line_alpha(p, a, b), rel=1e-9, abs=1e-12 * scale)
+            else:
+                with pytest.raises(DegenerateLineError):
+                    line_alpha(p, a, b)
+                assert t == 0.0
+            assert np.array_equal(r, line_residual(p, a, b, t))
+
+    @given(line_batches(), st.integers(1, 5))
+    @settings(deadline=None, max_examples=100)
+    def test_broadcast_equals_one_call_per_query(self, batch, queries):
+        _, A, B = batch
+        Q = np.random.default_rng(queries).normal(size=(queries, A.shape[1]))
+        alpha, rho, ok = project_onto_lines(Q[:, None, :], A, B)
+        assert alpha.shape == (queries, A.shape[0]) and rho.shape == (queries, *A.shape)
+        for q in range(queries):
+            alpha_q, rho_q, ok_q = project_onto_lines(np.tile(Q[q], (A.shape[0], 1)), A, B)
+            assert np.array_equal(ok, ok_q)
+            assert np.array_equal(alpha[q], alpha_q)
+            assert np.array_equal(rho[q], rho_q)

@@ -50,7 +50,7 @@ class TestModelFile:
 
     def test_round_trip(self, tmp_path):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=2)
-        cfg = TrainConfig(K=3, d_prime=2, max_iters=20, rel_tol=1e-5, seed=9)
+        cfg = TrainConfig(K=3, d_prime=2, max_iters=20, rel_tol=1e-5, init="identity")
         model = train(ds, cfg)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -76,6 +76,44 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.config == model.config
         assert np.array_equal(project(loaded, ds.features), project(model, ds.features))
+
+    def test_schema_1_file_with_seed_key_loads(self, tmp_path):
+        # files written while TrainConfig had a ``seed`` field carry the key
+        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=6)
+        model = train(ds, TrainConfig(K=3, d_prime=2))
+        payload = model_to_dict(model)
+        assert "seed" not in payload["train_config"]
+        payload["train_config"]["seed"] = 7
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert np.array_equal(project(loaded, ds.features), project(model, ds.features))
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda payload: payload.pop("d_prime"), r"lacks the keys \['d_prime'\]"),
+            (lambda payload: payload["train_config"].pop("K"), "malformed model file.*'K'"),
+            (lambda payload: payload.update(train_config=[]), "malformed model file"),
+            (lambda payload: payload.update(objective_trace=5), "malformed model file"),
+            (lambda payload: payload.update(projection_columns=5), "malformed model file"),
+        ],
+    )
+    def test_malformed_file_named(self, tmp_path, edit, message):
+        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=7)
+        payload = model_to_dict(train(ds, TrainConfig(K=3, d_prime=2)))
+        edit(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    def test_rejects_non_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object, not list"):
+            load_model(path)
 
     def test_round_trip_baseline_config(self, tmp_path):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)
@@ -105,13 +143,24 @@ class TestConfigDicts:
     @pytest.mark.parametrize(
         "config",
         [
-            TrainConfig(K=5, d_prime=10, max_iters=30, rel_tol=1e-7, eigen_order="largest", init="identity", seed=4),
+            TrainConfig(K=5, d_prime=10, max_iters=30, rel_tol=1e-7, eigen_order="largest", init="identity"),
             BaselineConfig("pca", 7),
             BaselineConfig("lpp", 4, K=9, heat_sigma=0.5),
         ],
     )
     def test_round_trip(self, config):
         assert config_from_dict(config_to_dict(config)) == config
+
+    def test_json_keys_are_the_fields(self):
+        nlp = config_to_dict(TrainConfig(K=5, d_prime=3))
+        assert nlp == {"method": "nlp", "K": 5, "d_prime": 3, "max_iters": 50, "rel_tol": 1e-6,
+                       "eigen_order": "smallest", "init": "pca"}
+        assert config_to_dict(BaselineConfig("lpp", 4)) == {"method": "lpp", "d_prime": 4, "K": 5,
+                                                            "heat_sigma": "auto"}
+
+    def test_unknown_keys_ignored(self):
+        payload = {**config_to_dict(TrainConfig(K=4, d_prime=2)), "seed": 3, "center": True, "extra": 1}
+        assert config_from_dict(payload) == TrainConfig(K=4, d_prime=2)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 import nearline.nlp
 from nearline.data import Dataset, center
 from nearline.geometry import (
+    DEGENERACY_RTOL,
     DegenerateLineError,
     is_degenerate_line,
     line_alpha,
-    line_directions,
     line_residual,
     point_line_sqdist,
+    project_onto_lines,
 )
 from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 from nearline.nlp import (
@@ -516,7 +517,8 @@ def two_pass_train(ds, config):
     """The training loop with one line pass for each scatter operator and
     another for each objective, from the public pieces (reference)."""
     centered = center(ds)
-    Z, V = row_space(centered.features)
+    V = row_space(centered.features)
+    Z = centered.features @ V
     r = V.shape[1]
     if config.init == "pca":
         W = orient_columns(complete_basis(V, config.d_prime))
@@ -550,7 +552,10 @@ def direct_scatter_and_objective(X, index, W):
     kept lines (oracle for the exact arithmetic of the shared pass)."""
     Y = X @ W
     i, j, k = index.flat_triples()
-    Djk, gap, ok = line_directions(Y[j], Y[k])
+    Djk = Y[j] - Y[k]
+    gap = np.einsum("ij,ij->i", Djk, Djk)
+    scale = np.maximum(1.0, np.maximum(np.einsum("ij,ij->i", Y[j], Y[j]), np.einsum("ij,ij->i", Y[k], Y[k])))
+    ok = gap >= DEGENERACY_RTOL * scale
     if not ok.any():
         return np.zeros((X.shape[1], X.shape[1])), 0.0
     alpha = np.zeros_like(gap)
@@ -590,11 +595,11 @@ class TestSingleLinePass:
     def test_one_pass_per_projection(self, monkeypatch):
         passes = []
 
-        def spy(A, B):
+        def spy(P, A, B):
             passes.append(A.shape)
-            return line_directions(A, B)
+            return project_onto_lines(P, A, B)
 
-        monkeypatch.setattr(nearline.nlp, "line_directions", spy)
+        monkeypatch.setattr(nearline.nlp, "project_onto_lines", spy)
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)
         for t in (1, 2, 7):
             passes.clear()
@@ -613,18 +618,18 @@ class TestSingleLinePass:
         cfg = TrainConfig(K=3, d_prime=2, max_iters=3, rel_tol=0.0)
         passes = []
 
-        def lose_three_lines_once(A, B):
+        def lose_three_lines_once(P, A, B):
             passes.append(None)
-            D, gap, ok = line_directions(A, B)
+            alpha, rho, ok = project_onto_lines(P, A, B)
             if len(passes) == 2:  # the pass at the first updated projection
                 ok = ok.copy()
                 ok[[0, 5, 9]] = False
-            return D, gap, ok
+            return alpha, rho, ok
 
         with caplog.at_level(logging.DEBUG, logger="nearline.nlp"):
             plain = train(ds, cfg)
             assert not [rec for rec in caplog.records if "mask changed" in rec.getMessage()]
-            monkeypatch.setattr(nearline.nlp, "line_directions", lose_three_lines_once)
+            monkeypatch.setattr(nearline.nlp, "project_onto_lines", lose_three_lines_once)
             flipped = train(ds, cfg)
         changes = [rec for rec in caplog.records if "mask changed" in rec.getMessage()]
         # the three lines drop out at W_1 and come back at W_2
