@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from nearline.baselines import BaselineConfig, train_lpp, train_pca
-from nearline.data import Dataset, SplitSpec, random_split
+from nearline.data import Dataset, SplitSpec, split_indices
 from nearline.geometry import project_onto_lines
 from nearline.model_io import config_to_dict
 from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, project, train
@@ -187,11 +187,14 @@ def run_experiments(
     hits: list[list[np.ndarray]] = [[] for _ in method_configs]
     for r in range(split.repeats):
         try:
-            train_ds, test_ds = random_split(dataset, split, r)
-            test_labels.append(test_ds.labels)
-            shared = TrainingSplit(train_ds)
+            train_idx, test_idx = split_indices(dataset.labels, split, r)
+            # the fits hold only the split's centered copy of the train rows;
+            # the raw rows of both sides are gathered once the fits are done
+            shared = TrainingSplit(dataset.subset(train_idx))
             models = [fit_method(shared, config) for config in method_configs]
-            del shared  # its centered copy of the train split is not needed to classify
+            del shared
+            train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
+            test_labels.append(test_ds.labels)
             for config, model, config_hits in zip(method_configs, models, hits):
                 train_y, test_y = project(model, train_ds.features), project(model, test_ds.features)
                 config_hits.append(classify(train_y, train_ds.labels, test_y) == test_ds.labels)

@@ -49,13 +49,18 @@ def config_to_dict(config) -> dict:
 
 
 def config_from_dict(payload: dict):
-    """The config a ``config_to_dict`` payload describes; keys that are not
+    """The config a ``config_to_dict`` payload describes.  Keys that are not
     fields of its class (``method`` of nlp, or ``center`` and ``seed`` in
-    older files) are ignored, and missing optional fields take defaults."""
+    older files) are ignored; a missing field is an error, except that a
+    baseline's ``K`` and ``heat_sigma`` take their defaults."""
     method = payload.get("method")
     if method not in ("nlp", "pca", "lpp"):
         raise ValueError(f"unknown method in model file: {method!r}")
     cls = TrainConfig if method == "nlp" else BaselineConfig
+    optional = set() if cls is TrainConfig else {"K", "heat_sigma"}
+    missing = [f.name for f in fields(cls) if f.name not in payload and f.name not in optional]
+    if missing:
+        raise ValueError(f"train_config lacks the keys {missing}")
     return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
 
 

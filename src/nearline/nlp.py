@@ -327,9 +327,10 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     its objective and the next operator; a change of the degenerate-line
     mask between two projections, where the objective need not decrease, is
     logged at DEBUG level.  Training stops when the relative objective
-    change drops below ``rel_tol`` or after ``max_iters`` iterations.  The result ``V_r W_z`` is completed with deterministic
-    directions orthogonal to the training rows when ``d_prime`` exceeds r.
-    Data with a single distinct row (r = 0) is already at the zero objective.
+    change drops below ``rel_tol`` or after ``max_iters`` iterations.  The
+    result ``V_r W_z`` is completed with deterministic directions orthogonal
+    to the training rows when ``d_prime`` exceeds r.  Data with a single
+    distinct row (r = 0) is already at the zero objective.
     """
     split = TrainingSplit.of(data)
     n, d = split.data.n, split.data.d

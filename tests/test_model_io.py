@@ -94,7 +94,8 @@ class TestModelFile:
         ("edit", "message"),
         [
             (lambda payload: payload.pop("d_prime"), r"lacks the keys \['d_prime'\]"),
-            (lambda payload: payload["train_config"].pop("K"), "malformed model file.*'K'"),
+            (lambda payload: payload["train_config"].pop("K"), r"train_config lacks the keys \['K'\]"),
+            (lambda payload: payload["train_config"].pop("init"), r"train_config lacks the keys \['init'\]"),
             (lambda payload: payload.update(train_config=[]), "malformed model file"),
             (lambda payload: payload.update(objective_trace=5), "malformed model file"),
             (lambda payload: payload.update(projection_columns=5), "malformed model file"),
@@ -161,6 +162,9 @@ class TestConfigDicts:
     def test_unknown_keys_ignored(self):
         payload = {**config_to_dict(TrainConfig(K=4, d_prime=2)), "seed": 3, "center": True, "extra": 1}
         assert config_from_dict(payload) == TrainConfig(K=4, d_prime=2)
+
+    def test_baseline_may_omit_k_and_heat_sigma(self):
+        assert config_from_dict({"method": "lpp", "d_prime": 3}) == BaselineConfig("lpp", 3)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
