@@ -6,7 +6,6 @@ from nearline.data import (
     DataFormatError,
     Dataset,
     SplitSpec,
-    center,
     load_csv,
     load_pgm_dir,
     random_split,
@@ -57,7 +56,6 @@ __all__ = [
     "TrainedModel",
     "assemble_scatter",
     "build_neighbor_lines",
-    "center",
     "classify_1nn",
     "classify_nearest_line",
     "eigen_step",

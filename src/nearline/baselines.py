@@ -56,12 +56,12 @@ def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
     unit directions orthogonal to every training row.
     """
     split = TrainingSplit.of(data)
-    n, d = split.data.n, split.data.d
+    n, d = split.features.shape
     if not 1 <= d_prime <= min(n - 1, d):
         raise ValueError(f"d_prime must be in [1, {min(n - 1, d)}] for PCA, got {d_prime}")
     return TrainedModel(
         projection=split.principal_basis(d_prime),
-        mean_vector=split.data.mean_vector,
+        mean_vector=split.mean_vector,
         config=BaselineConfig(method="pca", d_prime=d_prime),
         objective_trace=[],
         iterations_run=0,
@@ -97,7 +97,7 @@ def train_lpp(data: Dataset | TrainingSplit, config: BaselineConfig) -> TrainedM
     if config.method != "lpp":
         raise ValueError(f"train_lpp called with method {config.method!r}")
     split = TrainingSplit.of(data)
-    X = split.data.features
+    X = split.features
     n, d = X.shape
     if config.K > n - 1:
         raise ValueError(f"K must be <= n - 1 = {n - 1}, got {config.K}")
@@ -131,7 +131,7 @@ def train_lpp(data: Dataset | TrainingSplit, config: BaselineConfig) -> TrainedM
     log.debug("lpp selected eigenvalues: %s", vals)
     return TrainedModel(
         projection=W,
-        mean_vector=split.data.mean_vector,
+        mean_vector=split.mean_vector,
         config=config,
         objective_trace=[],
         iterations_run=0,

@@ -1,4 +1,4 @@
-"""Dataset loading, validation, centering, and repeatable train/test splits."""
+"""Dataset loading, validation, and repeatable train/test splits."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-CENTERING_TOL = 1e-9
 
 
 class DataFormatError(ValueError):
@@ -18,16 +16,13 @@ class DataFormatError(ValueError):
 class Dataset:
     """An n x d feature matrix with one integer class label per row.
 
-    ``centered`` records whether the column means have been subtracted;
-    ``mean_vector`` holds the subtracted mean in that case.  Instances are
-    immutable (the arrays are marked read-only), so they are safe to share
-    across threads.
+    Instances are immutable (the arrays are marked read-only), so they are
+    safe to share across threads.  Centering belongs to the training split
+    (``nlp.TrainingSplit``), not to the dataset.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    centered: bool = False
-    mean_vector: np.ndarray | None = None
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=float)
@@ -51,26 +46,10 @@ class Dataset:
         labs = labs.astype(np.int64)
         if (labs < 0).any():
             raise ValueError("class labels must be nonnegative")
-        mean = self.mean_vector
-        if self.centered:
-            col_means = feats.mean(axis=0)
-            if np.abs(col_means).max() > CENTERING_TOL:
-                raise ValueError(
-                    f"centered dataset has column mean {np.abs(col_means).max():.3e} > {CENTERING_TOL}"
-                )
-            if mean is None:
-                mean = np.zeros(d)
-            mean = np.array(mean, dtype=float)
-            if mean.shape != (d,):
-                raise ValueError(f"mean_vector must have length {d}")
-            mean.setflags(write=False)
-        elif mean is not None:
-            raise ValueError("mean_vector is only meaningful on centered datasets")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "mean_vector", mean)
 
     @property
     def n(self) -> int:
@@ -81,8 +60,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        """Row subset as a fresh uncentered dataset (centering state is
-        per-dataset and does not survive subsetting)."""
+        """Row subset as a fresh dataset."""
         idx = np.asarray(indices, dtype=int)
         return Dataset(self.features[idx], self.labels[idx])
 
@@ -299,15 +277,13 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
     return pixels.reshape(height, width), maxval
 
 
-def load_pgm_dir(path, layout: str = "person-per-subdirectory") -> Dataset:
+def load_pgm_dir(path) -> Dataset:
     """Load a directory of per-class subdirectories of PGM images.
 
     Class ids follow the lexicographic order of the subdirectory names; each
     image is flattened row-major and scaled by its maxval into [0, 1].  All
     images must share one width x height.
     """
-    if layout != "person-per-subdirectory":
-        raise ValueError(f"unsupported layout {layout!r}")
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"no such directory: {root}")
@@ -333,14 +309,6 @@ def load_pgm_dir(path, layout: str = "person-per-subdirectory") -> Dataset:
             vectors.append(grid.reshape(-1).astype(float) / maxval)
             labels.append(class_id)
     return Dataset(np.vstack(vectors), np.array(labels))
-
-
-def center(dataset: Dataset) -> Dataset:
-    """Subtract the column mean, recording it in ``mean_vector``."""
-    if dataset.centered:
-        raise ValueError("dataset is already centered")
-    mean = dataset.features.mean(axis=0)
-    return Dataset(dataset.features - mean, dataset.labels, centered=True, mean_vector=mean)
 
 
 def _train_counts(class_sizes: np.ndarray, train_fraction: float) -> np.ndarray:

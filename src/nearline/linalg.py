@@ -36,17 +36,18 @@ def sym_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_space(features: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of the centered rows of ``features``.
+    """Orthonormal basis of the span of the rows of ``features``, which the
+    caller has already centered (``nlp.TrainingSplit.features``).
 
-    One thin SVD of the column-centered rows, ``Xc = U S V^T``.  Singular
-    values at or below ``S[0] * max(n, d) * eps`` are dropped, leaving rank r.
+    One thin SVD of the centered rows, ``Xc = U S V^T``.  Singular values at
+    or below ``S[0] * max(n, d) * eps`` are dropped, leaving rank r.
     Returns ``V_r`` (d x r): the principal directions in decreasing order of
-    variance, oriented.  Every difference of two rows lies in the span of
-    ``V_r``, so with ``Z = features @ V_r``, ``features @ (V_r @ B)`` equals
-    ``Z @ B`` for any r-row matrix B.
+    variance, oriented.  Every row lies in the span of ``V_r``, so with
+    ``Z = features @ V_r``, ``features @ (V_r @ B)`` equals ``Z @ B`` for
+    any r-row matrix B.
     """
     X = np.asarray(features, dtype=float)
-    _, S, Vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    _, S, Vt = np.linalg.svd(X, full_matrices=False)
     tol = S[0] * max(X.shape) * np.finfo(float).eps if S.size else 0.0
     return orient_columns(Vt[S > tol].T)
 

@@ -18,13 +18,12 @@ d x d matrix is built.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from nearline.data import Dataset, center
+from nearline.data import Dataset
 from nearline.geometry import project_onto_lines
 from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 
@@ -164,23 +163,25 @@ def k_nearest_neighbors(features: np.ndarray, K: int) -> np.ndarray:
 
 def build_neighbor_lines(dataset, K: int) -> NeighborLineIndex:
     """Neighbor sets and all neighbor-pair lines for every sample."""
-    X = _features_of(dataset)
-    neighbors = k_nearest_neighbors(X, K)
-    combos = np.array(list(itertools.combinations(range(K), 2)), dtype=int).reshape(-1, 2)
+    neighbors = k_nearest_neighbors(_features_of(dataset), K)
+    j, k = np.triu_indices(K, 1)
     nb_sorted = np.sort(neighbors, axis=1)
-    lines = np.stack(
-        [nb_sorted[:, combos[:, 0]], nb_sorted[:, combos[:, 1]]], axis=2
-    ) if combos.size else np.empty((X.shape[0], 0, 2), dtype=int)
+    lines = np.stack([nb_sorted[:, j], nb_sorted[:, k]], axis=2)
     return NeighborLineIndex(neighbors=neighbors, lines=lines)
 
 
 class TrainingSplit:
-    """A training set centered once (``data``; a centered dataset is kept as
-    is), with its row-space basis and its neighbor/line index per K, each
-    computed on first use and shared by every fit on the split."""
+    """A training set centered once, the package's only centering step:
+    ``mean_vector`` is the column mean of the rows and ``features`` the
+    read-only rows minus it.  The row-space basis and the neighbor/line
+    index per K are computed on first use and shared by every fit on the
+    split."""
 
     def __init__(self, dataset: Dataset):
-        self.data = dataset if dataset.centered else center(dataset)
+        self.mean_vector = dataset.features.mean(axis=0)
+        self.features = dataset.features - self.mean_vector
+        self.mean_vector.setflags(write=False)
+        self.features.setflags(write=False)
         self._neighbor_lines: dict[int, NeighborLineIndex] = {}
 
     @classmethod
@@ -189,7 +190,7 @@ class TrainingSplit:
 
     @functools.cached_property
     def row_space(self) -> np.ndarray:
-        return row_space(self.data.features)  # V_r, see linalg.row_space
+        return row_space(self.features)  # V_r, see linalg.row_space
 
     def principal_basis(self, k: int) -> np.ndarray:
         """The top k principal directions (d x k), oriented; past the rank r,
@@ -198,7 +199,7 @@ class TrainingSplit:
 
     def neighbor_lines(self, K: int) -> NeighborLineIndex:
         if K not in self._neighbor_lines:
-            self._neighbor_lines[K] = build_neighbor_lines(self.data, K)
+            self._neighbor_lines[K] = build_neighbor_lines(self.features, K)
         return self._neighbor_lines[K]
 
 
@@ -333,14 +334,14 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     distinct row (r = 0) is already at the zero objective.
     """
     split = TrainingSplit.of(data)
-    n, d = split.data.n, split.data.d
+    n, d = split.features.shape
     if config.K > n - 1:
         raise ValueError(f"K must be <= n - 1 = {n - 1}, got {config.K}")
     if config.d_prime > d:
         raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
 
     V = split.row_space
-    Z = split.data.features @ V
+    Z = split.features @ V
     r = V.shape[1]
     if config.init == "pca":
         W = split.principal_basis(config.d_prime)
@@ -357,7 +358,7 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     if config.max_iters == 0 or r == 0:
         return TrainedModel(
             projection=W,
-            mean_vector=split.data.mean_vector,
+            mean_vector=split.mean_vector,
             config=config,
             objective_trace=[objective_prev],
             iterations_run=0,
@@ -397,7 +398,7 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
 
     return TrainedModel(
         projection=orient_columns(complete_basis(V @ W_z, config.d_prime)),
-        mean_vector=split.data.mean_vector,
+        mean_vector=split.mean_vector,
         config=config,
         objective_trace=trace,
         iterations_run=iterations,

@@ -10,6 +10,12 @@ import pytest
 import nearline.nlp
 
 
+def centered(ds):
+    """The rows of a dataset minus their column mean (oracle for the
+    centering ``TrainingSplit`` does)."""
+    return ds.features - ds.features.mean(axis=0)
+
+
 @pytest.fixture()
 def split_work_spies():
     """Spies counting the row-space SVDs and the neighbor searches a test runs."""

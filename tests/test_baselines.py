@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import nearline
+from conftest import centered
 from nearline.baselines import BaselineConfig, _knn_affinity, train_lpp, train_pca
-from nearline.data import Dataset, center
+from nearline.data import Dataset
 from nearline.evaluate import fit_method
 from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, k_nearest_neighbors, project, train
 from nearline.synthetic import manifold_classes
@@ -38,7 +39,7 @@ class TestPca:
         rng = np.random.default_rng(1)
         ds = Dataset(rng.normal(size=(200, 6)), np.zeros(200, dtype=int))
         model = train_pca(ds, 6)
-        Xc = center(ds).features
+        Xc = centered(ds)
         total = float(np.var(Xc, axis=0, ddof=1).sum())
         captured = float(np.var(Xc @ model.projection, axis=0, ddof=1).sum())
         assert captured == pytest.approx(total, rel=1e-8)
@@ -49,7 +50,7 @@ class TestPca:
         coords = rng.normal(size=(50, 3))
         ds = Dataset(coords @ basis, np.zeros(50, dtype=int))
         model = train_pca(ds, 3)
-        Xc = center(ds).features
+        Xc = centered(ds)
         recon = Xc @ model.projection @ model.projection.T
         loss = float(np.sum((Xc - recon) ** 2)) / float(np.sum(Xc**2))
         assert loss < 1e-8
@@ -58,7 +59,7 @@ class TestPca:
         rng = np.random.default_rng(3)
         ds = Dataset(rng.normal(size=(80, 10)) * np.arange(1, 11), np.zeros(80, dtype=int))
         model = train_pca(ds, 3)
-        Xc = center(ds).features
+        Xc = centered(ds)
         captured = float(np.var(Xc @ model.projection, axis=0, ddof=1).sum())
         for _ in range(100):
             Q, _ = np.linalg.qr(rng.normal(size=(10, 3)))
@@ -76,7 +77,7 @@ class TestPca:
     def test_equals_nlp_initialization(self, d_prime):
         # rank 7 in d = 20, so d' = 9 and 12 take directions past the rank
         ds = manifold_classes(n_per_class=6, ambient_dim=20, seed=11)
-        assert np.linalg.matrix_rank(center(ds).features) == 7
+        assert np.linalg.matrix_rank(centered(ds)) == 7
         init = train(ds, TrainConfig(K=3, d_prime=d_prime, max_iters=0)).projection
         assert np.array_equal(train_pca(ds, d_prime).projection, init)
         split = TrainingSplit(ds)
@@ -109,7 +110,7 @@ class TestLpp:
         ds = two_far_clusters(seed=2)
         cfg = BaselineConfig(method="lpp", d_prime=3, K=5)
         model = train_lpp(ds, cfg)
-        X = center(ds).features
+        X = centered(ds)
         A = _knn_affinity(X, k_nearest_neighbors(X, cfg.K), cfg.heat_sigma)
         degrees = A.sum(axis=1)
         M_deg = X.T @ (degrees[:, None] * X)
@@ -162,7 +163,7 @@ class TestKnnAffinity:
     @pytest.mark.parametrize("seed", [0, 7, 21])
     @pytest.mark.parametrize("heat_sigma", ["auto", 0.7])
     def test_matches_loop_oracle_bitwise(self, seed, heat_sigma):
-        X = center(manifold_classes(n_per_class=12, ambient_dim=30, seed=seed)).features
+        X = centered(manifold_classes(n_per_class=12, ambient_dim=30, seed=seed))
         for K in (1, 3, 8):
             assert np.array_equal(
                 _knn_affinity(X, k_nearest_neighbors(X, K), heat_sigma), loop_affinity(X, K, heat_sigma)

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,6 @@ from nearline.data import (
     DataFormatError,
     Dataset,
     SplitSpec,
-    center,
     load_csv,
     load_pgm,
     load_pgm_dir,
@@ -18,6 +18,7 @@ from nearline.data import (
     save_csv,
     split_indices,
 )
+from nearline.nlp import TrainingSplit
 
 
 def write(path, text):
@@ -44,10 +45,6 @@ class TestDataset:
         with pytest.raises(ValueError, match="exactly 3"):
             Dataset(np.ones((3, 2)), np.array([0, 1]))
 
-    def test_centered_flag_checked(self):
-        with pytest.raises(ValueError, match="column mean"):
-            Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), centered=True)
-
     def test_arrays_are_read_only(self):
         ds = Dataset(np.ones((2, 2)), np.array([0, 1]))
         with pytest.raises(ValueError):
@@ -60,7 +57,6 @@ class TestLoadCsv:
         ds = load_csv(path, 2)
         assert ds.n == 3 and ds.d == 2
         assert ds.labels.tolist() == [0, 0, 1]
-        assert not ds.centered
         assert np.array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
 
     def test_label_column_last(self, tmp_path):
@@ -240,23 +236,40 @@ class TestPgm:
 
 
 class TestCenter:
-    def test_subtracts_column_means(self):
-        ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]))
-        out = center(ds)
-        assert np.array_equal(out.features, [[-1, -1], [1, 1]])
-        assert np.array_equal(out.mean_vector, [2, 3])
-        assert out.centered
+    """Centering of training rows, done in one place: ``nlp.TrainingSplit``."""
 
-    def test_double_centering_rejected(self):
-        ds = center(Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1])))
-        with pytest.raises(ValueError, match="already centered"):
-            center(ds)
+    def test_mean_and_rows_are_bit_exact(self):
+        rng = np.random.default_rng(2)
+        ds = Dataset(rng.normal(5.0, 2.0, size=(40, 7)), rng.integers(0, 3, size=40))
+        before = (ds.features.copy(), ds.labels.copy())
+        split = TrainingSplit(ds)
+        mean = ds.features.mean(axis=0)
+        assert split.mean_vector.tobytes() == mean.tobytes()
+        assert split.features.tobytes() == (ds.features - mean).tobytes()
+        with pytest.raises(ValueError):
+            split.features[0, 0] = 5.0
+        assert np.array_equal(ds.features, before[0]) and np.array_equal(ds.labels, before[1])
+
+    def test_of_keeps_a_split(self):
+        split = TrainingSplit(Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1])))
+        assert TrainingSplit.of(split) is split
 
     def test_means_vanish_after_centering(self):
         rng = np.random.default_rng(1)
         ds = Dataset(rng.normal(5.0, 2.0, size=(100, 10)), rng.integers(0, 3, size=100))
-        out = center(ds)
+        out = TrainingSplit(ds)
         assert np.abs(out.features.mean(axis=0)).max() < 1e-9
+
+    def test_holds_one_copy_of_the_rows(self):
+        n, d = 200, 644
+        ds = Dataset(np.random.default_rng(3).normal(size=(n, d)), np.zeros(n, dtype=int))
+        tracemalloc.start()
+        try:
+            TrainingSplit(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
 
 
 class TestSplits:

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nearline.nlp
-from nearline.data import Dataset, center
+from conftest import centered
+from nearline.data import Dataset
 from nearline.geometry import (
     DEGENERACY_RTOL,
     DegenerateLineError,
@@ -119,6 +120,9 @@ class TestBuildNeighborLines:
         assert index.lines.shape == (12, 3, 2)
         index5 = build_neighbor_lines(ds, 5)
         assert index5.lines.shape == (12, 10, 2)
+        # K=1 reaches here from LPP's BaselineConfig: no lines, same layout
+        index1 = build_neighbor_lines(ds, 1)
+        assert index1.lines.shape == (12, 0, 2)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
@@ -454,7 +458,7 @@ def step_is_well_posed(L, m):
 
 def full_space_train(ds, K, d_prime, max_iters):
     """Direct d x d loop from the top-d' principal directions (oracle)."""
-    X = center(ds).features
+    X = centered(ds)
     rank = np.linalg.matrix_rank(X)
     index = build_neighbor_lines(X, K)
     W = np.linalg.svd(X)[2][:d_prime].T
@@ -480,7 +484,7 @@ class TestRowSpaceTraining:
         assert model.objective_trace == pytest.approx(objectives, rel=1e-8)
         assert np.ravel(model.step_traces) == pytest.approx(np.ravel(steps), rel=1e-8)
 
-        X = center(ds).features
+        X = centered(ds)
         W = model.projection
         assert np.abs(W.T @ W - np.eye(d_prime)).max() < 1e-8
         r = np.linalg.matrix_rank(X)
@@ -516,16 +520,16 @@ def fit_problems(draw):
 def two_pass_train(ds, config):
     """The training loop with one line pass for each scatter operator and
     another for each objective, from the public pieces (reference)."""
-    centered = center(ds)
-    V = row_space(centered.features)
-    Z = centered.features @ V
+    X = centered(ds)
+    V = row_space(X)
+    Z = X @ V
     r = V.shape[1]
     if config.init == "pca":
         W = orient_columns(complete_basis(V, config.d_prime))
     else:
         W = np.eye(ds.d)[:, : config.d_prime]
     W_z = V.T @ W
-    index = build_neighbor_lines(centered, config.K)
+    index = build_neighbor_lines(X, config.K)
     previous = objective(Z, index, W_z)
     if config.max_iters == 0 or r == 0:
         return W, [previous], [], 0, r == 0
@@ -606,11 +610,12 @@ class TestSingleLinePass:
             model = train(ds, TrainConfig(K=3, d_prime=2, max_iters=t, rel_tol=0.0))
             assert model.iterations_run == t
             assert len(passes) == t + 1
-        index = build_neighbor_lines(center(ds), 3)
+        X = centered(ds)
+        index = build_neighbor_lines(X, 3)
         W = np.eye(6)[:, :2]
         for public in (assemble_scatter, objective):
             passes.clear()
-            public(center(ds), index, W)
+            public(X, index, W)
             assert len(passes) == 1
 
     def test_degenerate_mask_change_is_logged(self, monkeypatch, caplog):
@@ -658,8 +663,7 @@ class TestProject:
         ds = gaussian_blobs(n_per_class=12, n_classes=3, d=10, seed=8)
         cfg = TrainConfig(K=4, d_prime=3)
         model = train(ds, cfg)
-        centered = center(ds)
-        index = build_neighbor_lines(centered, cfg.K)
+        index = build_neighbor_lines(centered(ds), cfg.K)
         Y = project(model, ds.features)
         assert geometry_objective(Y, index) == pytest.approx(model.objective_trace[-1], rel=1e-8)
 
