@@ -25,8 +25,18 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=float)
-        labs = np.array(self.labels)
+        # the public constructor copies, so the caller's arrays stay its own
+        self._adopt(np.array(self.features, dtype=float), np.array(self.labels))
+
+    @classmethod
+    def _owning(cls, features: np.ndarray, labels: np.ndarray) -> Dataset:
+        """A dataset over arrays no one else holds: validated and frozen in
+        place, not copied."""
+        dataset = object.__new__(cls)
+        dataset._adopt(np.asarray(features, dtype=float), np.asarray(labels))
+        return dataset
+
+    def _adopt(self, feats: np.ndarray, labs: np.ndarray) -> None:
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         n, d = feats.shape
@@ -59,10 +69,10 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        """Row subset as a fresh dataset."""
+    def subset(self, indices) -> Dataset:
+        """Row subset as a fresh dataset over the rows the indexing copies."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.labels[idx])
+        return Dataset._owning(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -153,7 +163,7 @@ def load_csv(path, label_column="last") -> Dataset:
     parsed = _parse_bulk(lines, width, label_idx)
     if parsed is None:
         parsed = _parse_cells(path, lines, width, label_idx)
-    return Dataset(*parsed)
+    return Dataset._owning(*parsed)
 
 
 def _parse_bulk(lines: list[str], width: int, label_idx: int):
@@ -165,8 +175,13 @@ def _parse_bulk(lines: list[str], width: int, label_idx: int):
         return None
     if table.shape[1] != width or not np.isfinite(table).all():
         return None
+    # split only as far as the label cell, not across every feature cell
+    if label_idx == width - 1:
+        cells = [line.rsplit(",", 1)[1] for line in lines]
+    else:
+        cells = [line.split(",", label_idx + 1)[label_idx] for line in lines]
     try:
-        labels = np.array([int(line.split(",")[label_idx]) for line in lines], dtype=np.int64)
+        labels = np.array([int(cell) for cell in cells], dtype=np.int64)
     except ValueError:
         return None
     if (labels < 0).any():
@@ -308,7 +323,7 @@ def load_pgm_dir(path) -> Dataset:
                 )
             vectors.append(grid.reshape(-1).astype(float) / maxval)
             labels.append(class_id)
-    return Dataset(np.vstack(vectors), np.array(labels))
+    return Dataset._owning(np.vstack(vectors), np.array(labels))
 
 
 def _train_counts(class_sizes: np.ndarray, train_fraction: float) -> np.ndarray:

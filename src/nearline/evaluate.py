@@ -15,7 +15,7 @@ import numpy as np
 
 from nearline.baselines import BaselineConfig, train_lpp, train_pca
 from nearline.data import Dataset, SplitSpec, split_indices
-from nearline.geometry import project_onto_lines
+from nearline.geometry import line_gaps, project_onto_lines
 from nearline.model_io import config_to_dict
 from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, project, train
 
@@ -24,11 +24,19 @@ log = logging.getLogger(__name__)
 CLASSIFIERS = ("nn", "nearest_line")
 PAIR_SCOPES = ("within_class", "all_pairs")
 
-# Upper bound on the elements of each (queries x candidates x d') temporary
-# the classifiers build.  Scoring 200 queries against 400 lines in 20 dims
-# takes the same time for budgets from 1 << 10 to 1 << 16; larger budgets
-# are slower (the temporaries no longer fit in cache) and use more memory.
+# Upper bound on the elements of each temporary the classifiers build: the
+# (queries x training rows x d') differences of 1-NN, the nearest-line
+# screen's (lines x d') blocks and (queries x lines) products, and its
+# (kept lines x d') rescore chunks.  On one split of the faces_nearest_line
+# benchmark (200 queries, 200 rows, 400 lines, d' = 20; 2 vCPUs) a
+# nearest-line call takes 5.7 ms at 1 << 10, 1.6 ms at 1 << 14 and 1.45 ms
+# from 1 << 16 to 1 << 20; 1-NN takes 2.1 to 3.7 ms throughout.  Larger
+# budgets gain nothing and use more memory.
 CHUNK_ELEMENTS = 1 << 16
+
+# Rounding slack of the nearest-line screen, in units of
+# (d' + 2) eps (|q|^2 + max_t |t|^2); derived in classify_nearest_line.
+LINE_SCREEN_SLACK = 64
 
 
 class ExperimentError(RuntimeError):
@@ -86,16 +94,61 @@ def classify_1nn(train_projected: np.ndarray, train_labels: np.ndarray, query) -
 
 
 def _candidate_pairs(labels: np.ndarray, pair_scope: str) -> np.ndarray:
-    """All candidate (j, k) training pairs, j < k, in lexicographic order."""
+    """All candidate (j, k) training pairs, j < k, in lexicographic order.
+
+    A stable sort by label lists each class in index order, so row j pairs
+    with the rows after it in its class's run (after it in the whole set for
+    ``all_pairs``); taking the rows j in index order emits the pairs already
+    sorted, in memory linear in the pair count.
+    """
     if pair_scope not in PAIR_SCOPES:
         raise ValueError(f"pair_scope must be one of {PAIR_SCOPES}, got {pair_scope!r}")
-    if pair_scope == "all_pairs":
-        return np.stack(np.triu_indices(labels.shape[0], 1), axis=1)
-    classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
-    pairs = np.concatenate([np.empty((0, 2), dtype=int)] + [
-        members[np.stack(np.triu_indices(members.size, 1), axis=1)] for members in classes
-    ])
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    n = labels.shape[0]
+    keys = labels if pair_scope == "within_class" else np.zeros(n, dtype=int)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    run_end = np.searchsorted(sorted_keys, sorted_keys, side="right")
+    pos = np.empty(n, dtype=int)
+    pos[order] = np.arange(n)  # place of each row in the sorted order
+    counts = run_end[pos] - pos - 1  # partners after each row in its run
+    first = np.cumsum(counts) - counts  # where each row's pairs begin
+    partner = np.repeat(pos + 1 - first, counts)
+    partner += np.arange(partner.size)
+    pairs = np.empty((partner.size, 2), dtype=int)
+    pairs[:, 0] = np.repeat(np.arange(n), counts)
+    pairs[:, 1] = order[partner]
+    return pairs
+
+
+def _line_screens(T: np.ndarray, Q: np.ndarray, pairs: np.ndarray, t_norms: np.ndarray, q_norms: np.ndarray):
+    """Gram-form squared distances from the queries to the pair lines.
+
+    Yields ``(rows, start, screen)``: ``screen[i, p]`` screens query
+    ``rows[i]`` against line ``start + p`` as ``|q|^2 + |b|^2 - 2 q.b -
+    (q.D - b.D)^2 / |D|^2`` with ``D = a - b``, and is ``+inf`` on
+    degenerate lines; ``t_norms`` and ``q_norms`` are the squared row norms.
+    Each query row ``(q, 1, |q|^2)`` meets each line's ``(-2 b, |b|^2, 1)``
+    and ``(D, -b.D)`` in one matrix product apiece.  The pair blocks, their
+    products and each screen hold at most CHUNK_ELEMENTS elements.
+    """
+    d = T.shape[1]
+    rows_q = np.hstack([Q, np.ones((Q.shape[0], 1)), q_norms[:, None]])
+    block = max(1, CHUNK_ELEMENTS // (d + 2))
+    for start in range(0, pairs.shape[0], block):
+        j, k = pairs[start : start + block].T
+        B = T[k]
+        D, gap_sq, ok = line_gaps(T[j], B)
+        to_b = np.hstack([-2.0 * B, t_norms[k, None], np.ones((k.size, 1))])
+        along_d = np.hstack([D, -np.einsum("ij,ij->i", B, D)[:, None]])
+        inv_gap = np.divide(1.0, gap_sq, out=np.zeros_like(gap_sq), where=ok)
+        for rows in _chunks(Q.shape[0], k.size):
+            along = rows_q[rows, : d + 1] @ along_d.T
+            along *= along
+            along *= inv_gap
+            screen = rows_q[rows] @ to_b.T
+            screen -= along
+            screen[:, ~ok] = np.inf
+            yield rows, start, screen
 
 
 def classify_nearest_line(
@@ -111,10 +164,13 @@ def classify_nearest_line(
     label of the pair endpoint nearer to the query.  Degenerate pairs are
     never chosen (their distance counts as infinite); ties go to the
     lexicographically smaller pair.  A 1-D query returns an ``int``; a 2-D
-    block with one query per row returns an int array.  The candidate pairs
-    are enumerated once per call; their lines are scored in blocks, against
-    memory-bounded chunks of the queries, keeping each query's first minimum
-    across blocks.
+    block with one query per row returns an int array.
+
+    Exact: a Gram-form screen (``_line_screens``) keeps every line within a
+    rounding slack of its query's smallest screened distance, and the kept
+    lines are rescored with ``project_onto_lines``.  Each query takes its
+    first rescored minimum in pair order, the same line as scoring every
+    pair with the direct form.
     """
     T = np.asarray(train_projected, dtype=float)
     labels = np.asarray(train_labels)
@@ -122,25 +178,43 @@ def classify_nearest_line(
     pairs = _candidate_pairs(labels, pair_scope)
     if pairs.shape[0] == 0:
         raise ValueError(f"no candidate pairs for scope {pair_scope!r}")
-    best_dist = np.full(Q.shape[0], np.inf)
-    best = np.full(Q.shape[0], -1)
-    any_line = False
-    block = max(1, CHUNK_ELEMENTS // max(1, T.shape[1]))
-    for start in range(0, pairs.shape[0], block):
-        block_pairs = pairs[start : start + block]
-        Pj, Pk = T[block_pairs[:, 0]], T[block_pairs[:, 1]]
-        for rows in _chunks(Q.shape[0], Pj.size):
-            _, rho, ok = project_onto_lines(Q[rows, None, :], Pj, Pk)
-            dist = np.einsum("qij,qij->qi", rho, rho)
-            dist[:, ~ok] = np.inf
-            any_line = any_line or bool(ok.any())
-            first, first_dist = np.argmin(dist, axis=1), np.min(dist, axis=1)
-            # strict <: an equal distance in a later block keeps the earlier pair
-            better = (first_dist < best_dist[rows]) | (best[rows] < 0)
-            best_dist[rows] = np.where(better, first_dist, best_dist[rows])
-            best[rows] = np.where(better, start + first, best[rows])
-    if not any_line:
+    t_norms, q_norms = np.einsum("ij,ij->i", T, T), np.einsum("ij,ij->i", Q, Q)
+    # In d' dims each form is within about 10 (d' + 2) eps (|q|^2 + M) of
+    # the exact distance, M the largest squared training-row norm: a sum of
+    # up to d' + 2 products errs by (d' + 2) eps times the sum of their
+    # magnitudes, which is at most 2 (|q|^2 + |b|^2) in the screen, and the
+    # direct residual's error is relative to |q - b|^2 <= 2 (|q|^2 + |b|^2).
+    # The true minimum can screen at most four such errors (both forms, on
+    # it and on the screened minimum) above the screened minimum;
+    # LINE_SCREEN_SLACK = 64 leaves a 1.6x margin over 40.
+    slack = LINE_SCREEN_SLACK * (T.shape[1] + 2) * np.finfo(float).eps * (q_norms + t_norms.max())
+    # One pass: a line within slack of the final floor is within slack of
+    # the running floor when it is screened, so the kept set covers every
+    # candidate; the final floor then prunes it.
+    floor = np.full(Q.shape[0], np.inf)
+    kept = []
+    for rows, start, screen in _line_screens(T, Q, pairs, t_norms, q_norms):
+        np.minimum(floor[rows], screen.min(axis=1), out=floor[rows])
+        bound = floor[rows] + slack[rows]
+        bound[np.isposinf(bound)] = -np.inf  # no finite screen yet: nothing to keep
+        q, p = np.nonzero(screen <= bound[:, None])
+        kept.append((q + rows.start, p + start, screen[q, p]))
+    if np.isposinf(floor).all():
         raise ValueError("all candidate pairs are degenerate")
+    q, p, screened = (np.concatenate(parts) for parts in zip(*kept))
+    within = screened <= floor[q] + slack[q]
+    q, p = q[within], p[within]
+    dist = np.empty(q.size)
+    step = max(1, CHUNK_ELEMENTS // T.shape[1])
+    for c in range(0, q.size, step):
+        part = slice(c, c + step)
+        _, rho, _ = project_onto_lines(Q[q[part]], T[pairs[p[part], 0]], T[pairs[p[part], 1]])
+        dist[part] = np.einsum("ij,ij->i", rho, rho)
+    # per query, the first minimum in pair order
+    order = np.lexsort((p, dist, q))
+    best = p[order[np.diff(q[order], prepend=-1) != 0]]
+    if best.size != Q.shape[0]:
+        raise ValueError("non-finite line distances: rows and queries must be finite")
     j, k = pairs[best, 0], pairs[best, 1]
     if pair_scope == "within_class":
         pred = labels[j]

@@ -35,15 +35,24 @@ def _check_dims(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
+def line_gaps(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directions ``D = A - B`` of the lines through ``A`` and ``B``, their
+    squared lengths ``|D|^2`` and the mask of lines that are not degenerate,
+    ``|D|^2 >= DEGENERACY_RTOL * max(1, |A|^2, |B|^2)``: the package's one
+    degeneracy test.  The last axis holds coordinates; the others broadcast.
+    """
+    D = A - B
+    gap_sq = np.einsum("...j,...j->...", D, D)
+    na = np.einsum("...j,...j->...", A, A)
+    nb = np.einsum("...j,...j->...", B, B)
+    ok = gap_sq >= DEGENERACY_RTOL * np.maximum(1.0, np.maximum(na, nb))
+    return D, gap_sq, ok
+
+
 def is_degenerate_line(a, b) -> bool:
     """True when the squared gap between ``a`` and ``b`` falls below the
     degeneracy threshold ``DEGENERACY_RTOL * max(1, |a|^2, |b|^2)``."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    gap = a - b
-    gap_sq = float(gap @ gap)
-    scale = max(1.0, float(a @ a), float(b @ b))
-    return gap_sq < DEGENERACY_RTOL * scale
+    return not line_gaps(_as_vector(a, "a"), _as_vector(b, "b"))[2]
 
 
 def project_onto_lines(P, A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,15 +63,10 @@ def project_onto_lines(P, A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     point per line, and ``P`` of shape (q, 1, d) against (m, d) endpoints
     scores every point against every line.  Returns ``(alpha, rho, ok)``: the
     coefficients, the residuals ``P - B - alpha (A - B)`` and the mask of
-    lines that are not degenerate, the negation of ``is_degenerate_line``
-    (``|a - b|^2 >= DEGENERACY_RTOL * max(1, |a|^2, |b|^2)``).  A degenerate
-    line gets ``alpha = 0``, so its residual is ``P - B``.
+    lines that are not degenerate (``line_gaps``).  A degenerate line gets
+    ``alpha = 0``, so its residual is ``P - B``.
     """
-    D = A - B
-    gap_sq = np.einsum("...j,...j->...", D, D)
-    na = np.einsum("...j,...j->...", A, A)
-    nb = np.einsum("...j,...j->...", B, B)
-    ok = gap_sq >= DEGENERACY_RTOL * np.maximum(1.0, np.maximum(na, nb))
+    D, gap_sq, ok = line_gaps(A, B)
     rho = P - B
     alpha = np.zeros(rho.shape[:-1])
     np.divide(np.einsum("...j,...j->...", rho, D), gap_sq, out=alpha, where=ok)

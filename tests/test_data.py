@@ -50,6 +50,29 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 5.0
 
+    def test_constructor_copies_the_callers_arrays(self):
+        feats, labels = np.ones((3, 2)), np.array([0, 0, 1])
+        ds = Dataset(feats, labels)
+        assert feats.flags.writeable and labels.flags.writeable
+        feats[0, 0], labels[0] = 7.0, 2
+        assert ds.features[0, 0] == 1.0 and ds.labels[0] == 0
+
+    def test_subset_holds_one_copy_of_its_rows(self):
+        n, d = 200, 644
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.normal(size=(2 * n, d)), rng.integers(0, 40, size=2 * n))
+        idx = np.sort(rng.choice(2 * n, size=n, replace=False))
+        tracemalloc.start()
+        try:
+            sub = ds.subset(idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * n * d * 8
+        assert np.array_equal(sub.features, ds.features[idx]) and np.array_equal(sub.labels, ds.labels[idx])
+        with pytest.raises(ValueError):
+            sub.features[0, 0] = 5.0
+
 
 class TestLoadCsv:
     def test_basic_parse(self, tmp_path):

@@ -18,7 +18,7 @@ from nearline.evaluate import (
     run_experiment,
     run_experiments,
 )
-from nearline.geometry import DegenerateLineError, point_line_sqdist
+from nearline.geometry import DEGENERACY_RTOL, DegenerateLineError, point_line_sqdist, project_onto_lines
 from nearline.model_io import report_json
 from nearline.nlp import TrainConfig
 from nearline.synthetic import gaussian_blobs, manifold_classes, separable_clusters
@@ -53,6 +53,53 @@ def exhaustive_nearest_line(train, labels, query, scope):
     if best_pair is None:
         raise ValueError("no valid pairs")
     return best_label
+
+
+def triu_candidate_pairs(labels, scope):
+    """Candidate pairs from one ``triu_indices`` per class, sorted by
+    ``lexsort``: the oracle for the classifier's linear-memory enumeration."""
+    if scope == "all_pairs":
+        return np.stack(np.triu_indices(labels.shape[0], 1), axis=1)
+    classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    pairs = np.concatenate([np.empty((0, 2), dtype=int)] + [
+        members[np.stack(np.triu_indices(members.size, 1), axis=1)] for members in classes
+    ])
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def direct_nearest_line(train, labels, queries, scope, budget):
+    """Nearest-line labels from the direct residual of every (query, line)
+    pair, scored in pair blocks and query chunks of at most ``budget``
+    elements per (queries x lines x d') temporary, each query keeping its
+    first minimum in pair order: the oracle for the screened classifier."""
+    pairs = triu_candidate_pairs(labels, scope)
+    if pairs.shape[0] == 0:
+        raise ValueError("no candidate pairs")
+    best_dist = np.full(len(queries), np.inf)
+    best = np.full(len(queries), -1)
+    any_line = False
+    block = max(1, budget // train.shape[1])
+    for start in range(0, pairs.shape[0], block):
+        Pj, Pk = train[pairs[start : start + block, 0]], train[pairs[start : start + block, 1]]
+        step = max(1, budget // Pj.size)
+        for first_row in range(0, len(queries), step):
+            rows = slice(first_row, first_row + step)
+            _, rho, ok = project_onto_lines(queries[rows, None, :], Pj, Pk)
+            dist = np.einsum("qij,qij->qi", rho, rho)
+            dist[:, ~ok] = np.inf
+            any_line = any_line or bool(ok.any())
+            first, first_dist = np.argmin(dist, axis=1), np.min(dist, axis=1)
+            better = (first_dist < best_dist[rows]) | (best[rows] < 0)
+            best_dist[rows] = np.where(better, first_dist, best_dist[rows])
+            best[rows] = np.where(better, start + first, best[rows])
+    if not any_line:
+        raise ValueError("all candidate pairs are degenerate")
+    j, k = pairs[best, 0], pairs[best, 1]
+    if scope == "within_class":
+        return labels[j].astype(int)
+    dj = np.sum((queries - train[j]) ** 2, axis=1)
+    dk = np.sum((queries - train[k]) ** 2, axis=1)
+    return np.where(dj <= dk, labels[j], labels[k]).astype(int)
 
 
 class TestClassify1nn:
@@ -128,6 +175,13 @@ class TestClassifyNearestLine:
         with pytest.raises(ValueError, match="degenerate"):
             classify_nearest_line(train, labels, np.array([0.0, 0.0]))
 
+    def test_non_finite_distances_rejected(self):
+        train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [1.0, 3.0]])
+        labels = np.array([0, 0, 1, 1])
+        for queries in (np.array([np.nan, 0.0]), np.array([[0.0, 0.1], [np.inf, 0.0]])):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+                classify_nearest_line(train, labels, queries)
+
     def test_all_pairs_uses_nearer_endpoint_label(self):
         train = np.array([[0.0, 0.0], [10.0, 0.0]])
         labels = np.array([3, 8])
@@ -188,6 +242,52 @@ def classify_problems(draw):
     return train, labels, queries, budget, on_grid
 
 
+@st.composite
+def cancelling_problems(draw):
+    """Rows 1e6 to 1e8 from the origin that differ by small integers, so the
+    Gram screen cancels most of its digits while the direct form stays
+    accurate; duplicated rows (degenerate pairs and exact ties), and partner
+    rows whose gap sits at the degeneracy threshold."""
+    d = draw(st.integers(1, 4))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+    base = draw(st.sampled_from([1e6, 1e7, 1e8])) * np.array(signs)
+    spread = draw(st.sampled_from([3, 30, 300, 3000]))
+    deviation = st.lists(st.integers(-spread, spread), min_size=d, max_size=d)
+    distinct = [base + np.array(v) for v in draw(st.lists(deviation, min_size=1, max_size=5))]
+    for b in distinct[: draw(st.integers(0, 2))]:
+        a = b.copy()
+        gap = np.ceil(np.sqrt(DEGENERACY_RTOL * float(b @ b))) + draw(st.integers(-1, 1))
+        a[draw(st.integers(0, d - 1))] += gap
+        distinct.append(a)
+    n = draw(st.integers(2, 10))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    train = np.array([distinct[i] for i in picks])
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    queries = base + np.array(draw(st.lists(deviation, min_size=1, max_size=12)), dtype=float).reshape(-1, d)
+    return train, labels, queries, draw(st.integers(1, 200))
+
+
+@st.composite
+def exact_problems(draw):
+    """Rows on {0, 1}^d with d <= 2 and integer queries: every line gap
+    |a - b|^2 is 0, 1 or 2, so the screen and the direct form are both exact
+    and duplicated rows tie exactly."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 9))
+    train = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    queries = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=1, max_size=12)), dtype=float)
+    return train, labels, queries, draw(st.integers(1, 200))
+
+
+labels_lists = st.one_of(
+    # unsorted, non-contiguous class ids, with singleton classes
+    st.lists(st.integers(0, 6).map(lambda c: 7 * c + 3), min_size=0, max_size=40),
+    # one class
+    st.integers(1, 30).map(lambda n: [5] * n),
+)
+
+
 class TestBatchedClassifiers:
     @given(classify_problems())
     @settings(deadline=None, max_examples=150)
@@ -242,6 +342,55 @@ class TestBatchedClassifiers:
         with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
             blocked = classify_nearest_line(train, labels, queries, scope)
         assert blocked.tolist() == whole.tolist()
+
+    @given(labels_lists, st.sampled_from(["within_class", "all_pairs"]))
+    @settings(deadline=None, max_examples=150)
+    def test_candidate_pairs_match_per_class_enumeration(self, labels, scope):
+        labels = np.array(labels, dtype=np.int64)
+        got = evaluate._candidate_pairs(labels, scope)
+        want = triu_candidate_pairs(labels, scope)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_candidate_pairs_memory_is_linear_in_pairs(self):
+        # 5000 rows in 1000 classes of 5 give 10 000 pairs (160 kB); an
+        # n x n label mask alone would take 25 MB
+        labels = np.random.default_rng(5).permutation(np.repeat(np.arange(1000), 5))
+        tracemalloc.start()
+        try:
+            pairs = evaluate._candidate_pairs(labels, "within_class")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs.shape == (10_000, 2)
+        assert peak < 2**20
+
+    @given(cancelling_problems(), st.sampled_from(["within_class", "all_pairs"]))
+    @settings(deadline=None, max_examples=300)
+    def test_screen_matches_direct_scoring_where_it_cancels(self, problem, scope):
+        train, labels, queries, budget = problem
+        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
+            try:
+                got = classify_nearest_line(train, labels, queries, scope)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    direct_nearest_line(train, labels, queries, scope, budget)
+                return
+        assert got.tolist() == direct_nearest_line(train, labels, queries, scope, budget).tolist()
+
+    @given(exact_problems(), st.sampled_from(["within_class", "all_pairs"]))
+    @settings(deadline=None, max_examples=150)
+    def test_exact_screens_need_no_slack(self, problem, scope):
+        # the screen's minimum equals every exactly tied line's distance, so
+        # with no slack the keep test must still keep them all
+        train, labels, queries, budget = problem
+        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget), mock.patch.object(evaluate, "LINE_SCREEN_SLACK", 0):
+            try:
+                got = classify_nearest_line(train, labels, queries, scope)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    direct_nearest_line(train, labels, queries, scope, budget)
+                return
+        assert got.tolist() == direct_nearest_line(train, labels, queries, scope, budget).tolist()
 
     def test_exact_ties_follow_the_documented_order(self):
         # rows 0 and 1 coincide, so lines (0, 2) and (1, 2) tie exactly;
