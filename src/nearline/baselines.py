@@ -51,9 +51,10 @@ class BaselineConfig:
 def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
     """Top principal directions of the centered data, deterministic signs.
 
-    The directions come from the split's row-space SVD, the basis that nlp
-    training starts from; past the rank of the data they are completed with
-    unit directions orthogonal to every training row.
+    The directions come from the split's row-space basis, one
+    eigendecomposition of its smaller Gram matrix (``linalg.row_space``),
+    the basis that nlp training starts from; past the rank of the data they
+    are completed with unit directions orthogonal to every training row.
     """
     split = TrainingSplit.of(data)
     n, d = split.features.shape

@@ -13,7 +13,11 @@ def orient_columns(V: np.ndarray) -> np.ndarray:
     vectors are only defined up to sign; this makes every decomposition in
     the package deterministic.
     """
-    V = np.array(V, dtype=float)
+    return _orient_in_place(np.array(V, dtype=float))
+
+
+def _orient_in_place(V: np.ndarray) -> np.ndarray:
+    """``orient_columns`` on a float array the caller owns, without a copy."""
     if V.shape[1] == 0:
         return V
     cols = np.arange(V.shape[1])
@@ -39,17 +43,43 @@ def row_space(features: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of the rows of ``features``, which the
     caller has already centered (``nlp.TrainingSplit.features``).
 
-    One thin SVD of the centered rows, ``Xc = U S V^T``.  Singular values at
-    or below ``S[0] * max(n, d) * eps`` are dropped, leaving rank r.
+    One eigendecomposition of the smaller Gram matrix: ``X X^T`` (n x n)
+    when n <= d, else ``X^T X`` (d x d), eigenvalues ``lambda = S^2`` in
+    decreasing order.  Eigenvalues at or below ``lambda[0] * max(n, d) * eps``
+    are dropped, leaving rank r.  That is the thin SVD's rule applied to
+    lambda, and all a Gram matrix can resolve; in singular values it drops
+    ``S_i <= S[0] * sqrt(max(n, d) * eps)``, where a thin SVD of X could
+    keep everything above ``S[0] * max(n, d) * eps``.
+
+    When n <= d the basis is ``X^T U_r Lambda_r^(-1/2)``, else the
+    eigenvectors themselves.  The first form loses orthonormality as the
+    kept spectrum spreads, so when ``max |V^T V - I|`` exceeds
+    ``max(n, d) * eps`` one Cholesky-QR pass, ``V R^-1`` with
+    ``V^T V = R^T R``, restores it.
+
     Returns ``V_r`` (d x r): the principal directions in decreasing order of
-    variance, oriented.  Every row lies in the span of ``V_r``, so with
-    ``Z = features @ V_r``, ``features @ (V_r @ B)`` equals ``Z @ B`` for
-    any r-row matrix B.
+    variance, oriented.  Every row lies in the span of ``V_r`` up to the
+    dropped spectrum, so with ``Z = features @ V_r``, ``features @ (V_r @ B)``
+    equals ``Z @ B`` for any r-row matrix B.
     """
     X = np.asarray(features, dtype=float)
-    _, S, Vt = np.linalg.svd(X, full_matrices=False)
-    tol = S[0] * max(X.shape) * np.finfo(float).eps if S.size else 0.0
-    return orient_columns(Vt[S > tol].T)
+    n, d = X.shape
+    # the Gram matrix squares the scale of X: outside this range it would
+    # overflow or lose the small eigenvalues to underflow (V is scale-free)
+    peak = max(X.max(initial=0.0), -X.min(initial=0.0))
+    if peak and not 1e-100 < peak < 1e100:
+        X = X / peak
+    wide = n <= d
+    lam, U = sym_eigh(X @ X.T if wide else X.T @ X)
+    lam, U = lam[::-1], U[:, ::-1]
+    tol = max(n, d) * np.finfo(float).eps
+    r = np.count_nonzero(lam > lam[0] * tol) if lam.size else 0
+    V = X.T @ (U[:, :r] / np.sqrt(lam[:r])) if wide else np.array(U[:, :r])
+    if r:
+        C = V.T @ V
+        if np.abs(C - np.eye(r)).max() > tol:
+            V = V @ np.linalg.inv(np.linalg.cholesky(C).T)
+    return _orient_in_place(V)
 
 
 def complete_basis(V: np.ndarray, k: int) -> np.ndarray:

@@ -78,8 +78,39 @@ def model_to_dict(model: TrainedModel) -> dict:
     }
 
 
+def _json_floats(values, depth: int) -> str:
+    """A list of floats as ``json.dumps(..., indent=2)`` writes it at this
+    nesting depth.  json's C encoder formats the numbers (NaN and the
+    infinities included) and only the separators are re-indented, which
+    skips the pure-Python encoder ``indent`` selects."""
+    flat = json.dumps(np.asarray(values, dtype=float).tolist())
+    if flat == "[]":
+        return flat
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + flat[1:-1].replace(", ", "," + inner) + "\n" + "  " * depth + "]"
+
+
+def model_json(model: TrainedModel) -> str:
+    r"""The model file's text: ``json.dumps(model_to_dict(model), indent=2,
+    sort_keys=True) + "\n"``, byte for byte, with the keys written in sorted
+    order and the float arrays formatted by ``_json_floats``."""
+    config = json.dumps(config_to_dict(model.config), indent=2, sort_keys=True).replace("\n", "\n  ")
+    columns = ",\n    ".join(_json_floats(column, 2) for column in model.projection.T)
+    return (
+        "{\n"
+        f'  "d": {model.d},\n'
+        f'  "d_prime": {model.d_prime},\n'
+        f'  "mean_vector": {_json_floats(model.mean_vector, 1)},\n'
+        f'  "objective_trace": {_json_floats(model.objective_trace, 1)},\n'
+        f'  "projection_columns": [\n    {columns}\n  ],\n'
+        f'  "schema_version": {MODEL_SCHEMA_VERSION},\n'
+        f'  "train_config": {config}\n'
+        "}\n"
+    )
+
+
 def save_model(model: TrainedModel, path) -> None:
-    atomic_write_text(path, json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, model_json(model))
 
 
 def load_model(path) -> TrainedModel:

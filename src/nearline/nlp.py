@@ -9,10 +9,12 @@ built once, from input-space distances, and never rebuilt.
 
 Every residual is a combination of differences of training rows, so the
 scatter operator lives in the span of the centered training data, of rank
-r <= n - 1.  Training therefore runs in that row space: one SVD per training
-split gives its basis V_r, the loop works on the n x r coordinates X V_r, and
-the learned update is lifted back to the input space once, at the end.  No
-d x d matrix is built.
+r <= n - 1.  Training therefore runs in that row space: one eigendecomposition
+of the split's smaller Gram matrix gives its basis V_r (``linalg.row_space``:
+a Cholesky-QR pass keeps V_r orthonormal, and singular values at or below
+``S[0] * sqrt(max(n, d) * eps)`` are dropped), the loop works on the n x r
+coordinates X V_r, and the learned update is lifted back to the input space
+once, at the end.  No d x d matrix is built.
 """
 
 from __future__ import annotations
@@ -173,9 +175,9 @@ def build_neighbor_lines(dataset, K: int) -> NeighborLineIndex:
 class TrainingSplit:
     """A training set centered once, the package's only centering step:
     ``mean_vector`` is the column mean of the rows and ``features`` the
-    read-only rows minus it.  The row-space basis and the neighbor/line
-    index per K are computed on first use and shared by every fit on the
-    split."""
+    read-only rows minus it.  The row-space basis (one Gram-matrix
+    eigendecomposition, ``linalg.row_space``) and the neighbor/line index
+    per K are computed on first use and shared by every fit on the split."""
 
     def __init__(self, dataset: Dataset):
         self.mean_vector = dataset.features.mean(axis=0)

@@ -570,12 +570,14 @@ class TestRunExperiments:
         run_experiments(manifold_classes(**self.DATA), self.configs(), self.SPLIT)
         assert (rs.call_count, knn.call_count) == (self.SPLIT.repeats, 2 * self.SPLIT.repeats)
 
-    def test_pca_dims_share_one_svd_and_search_no_neighbors(self, split_work_spies):
+    def test_pca_dims_share_one_eigh_and_no_svd_and_search_no_neighbors(self, split_work_spies):
         rs, knn = split_work_spies
         pca_only = [BaselineConfig("pca", 2), BaselineConfig("pca", 5)]
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             run_experiments(manifold_classes(**self.DATA), pca_only, self.SPLIT)
-        assert (svd.call_count, rs.call_count, knn.call_count) == (self.SPLIT.repeats, self.SPLIT.repeats, 0)
+        repeats = self.SPLIT.repeats
+        assert (eigh.call_count, svd.call_count, rs.call_count, knn.call_count) == (repeats, 0, repeats, 0)
 
     def test_failing_config_reports_repeat(self):
         ds = gaussian_blobs(n_per_class=4, n_classes=2, d=10, seed=7)

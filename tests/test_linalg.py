@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nearline.linalg import orient_columns
+from nearline.linalg import orient_columns, row_space
+
+EPS = np.finfo(float).eps
 
 
 def loop_orient_columns(V):
@@ -80,3 +84,100 @@ class TestOrientColumns:
     def test_integer_input_becomes_float(self):
         V = np.array([[0, -2], [-1, 3]])
         assert_same(orient_columns(V), loop_orient_columns(V))
+
+
+def log_spectrum(n, d, smallest, seed=0):
+    """An n x d matrix with random singular vectors and singular values
+    log-spaced from 1 down to ``smallest``."""
+    rng = np.random.default_rng(seed)
+    k = min(n, d)
+    U = np.linalg.qr(rng.normal(size=(n, k)))[0]
+    V = np.linalg.qr(rng.normal(size=(d, k)))[0]
+    return (U * np.logspace(0, np.log10(smallest), k)) @ V.T
+
+
+@st.composite
+def row_space_inputs(draw):
+    """Wide and narrow matrices: rank-deficient products, duplicated rows,
+    identical centered rows (rank 0) and log-spaced spectra whose smallest
+    values reach past the rank threshold."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["product", "duplicated", "identical", "spectrum"]))
+    if kind == "identical":
+        row = rng.integers(-5, 6, size=d).astype(float)
+        X = np.tile(row, (n, 1))
+        return X - X.mean(axis=0)
+    if kind == "spectrum":
+        return log_spectrum(n, d, 10.0 ** -draw(st.floats(0.0, 12.0)), seed=int(rng.integers(2**32)))
+    rank = draw(st.integers(0, min(n, d)))
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+    if kind == "duplicated":
+        repeated = draw(st.integers(1, max(1, n // 2)))
+        X[n - repeated:] = X[:repeated]
+    return X
+
+
+class TestRowSpace:
+    @given(row_space_inputs())
+    @example(log_spectrum(12, 30, 1e-5))
+    @example(log_spectrum(30, 12, 1e-6))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_svd(self, X):
+        n, d = X.shape
+        V = row_space(X)
+        r = V.shape[1]
+        assert V.shape == (d, r)
+        assert np.all(np.abs(V.T @ V - np.eye(r)) <= 1e-12)
+        assert np.array_equal(orient_columns(V), V)
+
+        S = np.linalg.svd(X, compute_uv=False)
+        if not S.size or S[0] == 0.0:
+            assert r == 0
+            return
+        # the rank rule, applied to S = sqrt(lambda), and the thin SVD's own rule
+        gram_tol = S[0] * np.sqrt(max(n, d) * EPS)
+        svd_tol = S[0] * max(n, d) * EPS
+        if not np.any((S > gram_tol / 10) & (S < gram_tol * 10)):
+            assert r == np.count_nonzero(S > gram_tol)
+            if not np.any((S > svd_tol / 10) & (S < gram_tol * 10)):
+                assert r == np.count_nonzero(S > svd_tol)
+
+        variance = ((X @ V) ** 2).sum(axis=0)
+        assert np.all(np.diff(variance) <= 10 * max(n, d) * EPS * S[0] ** 2)
+        residual = X - (X @ V) @ V.T
+        assert np.sqrt((residual ** 2).sum(axis=1)).max() <= 10 * gram_tol
+
+    def test_identical_rows_have_rank_zero(self):
+        X = np.tile([1.0, -2.0, 3.0, 0.5], (6, 1))
+        V = row_space(X - X.mean(axis=0))
+        assert V.shape == (4, 0)
+
+    def test_rank_rule_drops_what_a_gram_matrix_cannot_resolve(self):
+        # S = [1, 1e-10]: the thin SVD's rule (S_i > 5 * eps * S_0) kept both
+        # directions; sqrt(5 * eps) = 3.3e-8 is the Gram matrix's resolution
+        V = row_space(log_spectrum(2, 5, 1e-10))
+        assert V.shape == (5, 1)
+
+    @given(st.sampled_from([1e-170, 1e-120, 1e120, 1e200]), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=20)
+    def test_scale_does_not_change_the_basis(self, scale, seed):
+        # rows this far outside (1e-100, 1e100) are rescaled before the Gram
+        # matrix squares them; squared, 1e-170 underflows and 1e200 overflows
+        X = np.random.default_rng(seed).normal(size=(6, 9))
+        V = row_space(X)
+        assert np.abs(row_space(X * scale) - V).max() < 1e-12
+
+    def test_memory_is_bounded(self):
+        # the d x r result is 4.1 MB; a thin SVD of the rows peaks at 12.7 MB.
+        # The spectrum spreads far enough that the orthonormality pass runs.
+        X = log_spectrum(200, 2576, 1e-3, seed=5)
+        tracemalloc.start()
+        try:
+            V = row_space(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert V.shape == (2576, 200)
+        assert peak < 10 * 2**20

@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from nearline.baselines import BaselineConfig, train_pca
 from nearline.data import SplitSpec
 from nearline.evaluate import run_experiment
@@ -11,16 +14,48 @@ from nearline.model_io import (
     config_from_dict,
     config_to_dict,
     load_model,
+    model_json,
     model_to_dict,
     report_csv,
     report_json,
     save_model,
 )
-from nearline.nlp import TrainConfig, project, train
+from nearline.nlp import TrainConfig, TrainedModel, project, train
 from nearline.synthetic import gaussian_blobs
 
 
+# signed zero, the smallest subnormal, huge values and the values json
+# writes as NaN, Infinity and -Infinity
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf")]
+floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(EDGE_FLOATS))
+configs = st.one_of(
+    st.builds(TrainConfig, K=st.integers(2, 9), d_prime=st.integers(1, 9),
+              max_iters=st.integers(0, 60), rel_tol=st.floats(0.0, 1.0),
+              eigen_order=st.sampled_from(["smallest", "largest"]), init=st.sampled_from(["pca", "identity"])),
+    st.builds(BaselineConfig, method=st.sampled_from(["pca", "lpp"]), d_prime=st.integers(1, 9),
+              K=st.integers(1, 9), heat_sigma=st.one_of(st.just("auto"), st.floats(1e-300, 1e300))),
+)
+
+
+@st.composite
+def models(draw):
+    d = draw(st.integers(1, 6))
+    d_prime = draw(st.integers(1, d))
+    W = np.array(draw(st.lists(floats, min_size=d * d_prime, max_size=d * d_prime))).reshape(d, d_prime)
+    mean = np.array(draw(st.lists(floats, min_size=d, max_size=d)))
+    trace = draw(st.lists(floats, max_size=4))
+    return TrainedModel(W, mean, draw(configs), trace, len(trace), False)
+
+
 class TestModelFile:
+    @given(models())
+    @example(TrainedModel(np.ones((1, 1)), np.zeros(1), BaselineConfig("lpp", 1), [], 0, True))
+    @example(TrainedModel(np.full((2, 1), -0.0), np.array([5e-324, 1e300]), BaselineConfig("pca", 1), [float("nan")], 1, True))
+    @settings(deadline=None, max_examples=200)
+    def test_writer_matches_indented_json(self, model):
+        want = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
+        assert model_json(model) == want
+
     def test_schema_fields(self, tmp_path):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=0)
         model = train(ds, TrainConfig(K=3, d_prime=2))
