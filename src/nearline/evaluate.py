@@ -15,7 +15,7 @@ import numpy as np
 
 from nearline.baselines import BaselineConfig, train_lpp, train_pca
 from nearline.data import Dataset, SplitSpec, split_indices
-from nearline.geometry import line_gaps, project_onto_lines
+from nearline.geometry import blocks, line_gaps, nearest_candidates, nearest_rows, project_onto_lines
 from nearline.model_io import config_to_dict
 from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, project, train
 
@@ -23,21 +23,6 @@ log = logging.getLogger(__name__)
 
 CLASSIFIERS = ("nn", "nearest_line")
 PAIR_SCOPES = ("within_class", "all_pairs")
-
-# Upper bound on the elements of each temporary the classifiers build: the
-# (queries x training rows x d') differences of 1-NN, the nearest-line
-# screen's (lines x d') blocks and (queries x lines) products, and its
-# (kept lines x d') rescore chunks.  On one split of the faces_nearest_line
-# benchmark (200 queries, 200 rows, 400 lines, d' = 20; 2 vCPUs) a
-# nearest-line call takes 5.7 ms at 1 << 10, 1.6 ms at 1 << 14 and 1.45 ms
-# from 1 << 16 to 1 << 20; 1-NN takes 2.1 to 3.7 ms throughout.  Larger
-# budgets gain nothing and use more memory.
-CHUNK_ELEMENTS = 1 << 16
-
-# Rounding slack of the nearest-line screen, in units of
-# (d' + 2) eps (|q|^2 + max_t |t|^2); derived in classify_nearest_line.
-LINE_SCREEN_SLACK = 64
-
 
 class ExperimentError(RuntimeError):
     """A repeat of the evaluation protocol failed; carries the repeat index."""
@@ -66,30 +51,19 @@ def _query_block(T: np.ndarray, query) -> tuple[np.ndarray, bool]:
     raise ValueError(f"query has shape {q.shape}, expected ({d},) or (q, {d})")
 
 
-def _chunks(n_queries: int, elements_per_query: int):
-    """Row slices of the query block that keep each temporary within
-    CHUNK_ELEMENTS elements (one query per chunk at least)."""
-    step = max(1, CHUNK_ELEMENTS // max(1, elements_per_query))
-    for start in range(0, n_queries, step):
-        yield slice(start, start + step)
-
-
 def classify_1nn(train_projected: np.ndarray, train_labels: np.ndarray, query) -> int | np.ndarray:
     """Label of the training point nearest to the query (squared distance,
     ties to the smaller training index).
 
     A 1-D query returns an ``int``; a 2-D block with one query per row
-    returns an int array, scored in memory-bounded chunks.
+    returns an int array.  Exact (``geometry.nearest_rows``); non-finite rows
+    or queries raise ``ValueError``.
     """
     T = np.asarray(train_projected, dtype=float)
     if T.shape[0] == 0:
         raise ValueError("empty training set")
     Q, single = _query_block(T, query)
-    nearest = np.empty(Q.shape[0], dtype=int)
-    for rows in _chunks(Q.shape[0], T.size):
-        diff = T - Q[rows, None, :]
-        nearest[rows] = np.argmin(np.einsum("qij,qij->qi", diff, diff), axis=1)
-    pred = np.asarray(train_labels)[nearest].astype(int)
+    pred = np.asarray(train_labels)[nearest_rows(T, Q)[:, 0]].astype(int)
     return int(pred[0]) if single else pred
 
 
@@ -129,26 +103,26 @@ def _line_screens(T: np.ndarray, Q: np.ndarray, pairs: np.ndarray, t_norms: np.n
     degenerate lines; ``t_norms`` and ``q_norms`` are the squared row norms.
     Each query row ``(q, 1, |q|^2)`` meets each line's ``(-2 b, |b|^2, 1)``
     and ``(D, -b.D)`` in one matrix product apiece.  The pair blocks, their
-    products and each screen hold at most CHUNK_ELEMENTS elements.
+    products and each screen hold at most ``geometry.BLOCK_ELEMENTS``
+    elements.
     """
     d = T.shape[1]
     rows_q = np.hstack([Q, np.ones((Q.shape[0], 1)), q_norms[:, None]])
-    block = max(1, CHUNK_ELEMENTS // (d + 2))
-    for start in range(0, pairs.shape[0], block):
-        j, k = pairs[start : start + block].T
+    for lines in blocks(pairs.shape[0], d + 2):
+        j, k = pairs[lines].T
         B = T[k]
         D, gap_sq, ok = line_gaps(T[j], B)
         to_b = np.hstack([-2.0 * B, t_norms[k, None], np.ones((k.size, 1))])
         along_d = np.hstack([D, -np.einsum("ij,ij->i", B, D)[:, None]])
         inv_gap = np.divide(1.0, gap_sq, out=np.zeros_like(gap_sq), where=ok)
-        for rows in _chunks(Q.shape[0], k.size):
+        for rows in blocks(Q.shape[0], k.size):
             along = rows_q[rows, : d + 1] @ along_d.T
             along *= along
             along *= inv_gap
             screen = rows_q[rows] @ to_b.T
             screen -= along
             screen[:, ~ok] = np.inf
-            yield rows, start, screen
+            yield rows, lines.start, screen
 
 
 def classify_nearest_line(
@@ -166,11 +140,10 @@ def classify_nearest_line(
     lexicographically smaller pair.  A 1-D query returns an ``int``; a 2-D
     block with one query per row returns an int array.
 
-    Exact: a Gram-form screen (``_line_screens``) keeps every line within a
-    rounding slack of its query's smallest screened distance, and the kept
-    lines are rescored with ``project_onto_lines``.  Each query takes its
-    first rescored minimum in pair order, the same line as scoring every
-    pair with the direct form.
+    Exact: ``geometry.nearest_candidates`` screens the lines with
+    ``_line_screens`` and rescores the lines it keeps with
+    ``project_onto_lines``, so each query takes its first nearest line in
+    pair order, the same line as scoring every pair with the direct form.
     """
     T = np.asarray(train_projected, dtype=float)
     labels = np.asarray(train_labels)
@@ -179,42 +152,13 @@ def classify_nearest_line(
     if pairs.shape[0] == 0:
         raise ValueError(f"no candidate pairs for scope {pair_scope!r}")
     t_norms, q_norms = np.einsum("ij,ij->i", T, T), np.einsum("ij,ij->i", Q, Q)
-    # In d' dims each form is within about 10 (d' + 2) eps (|q|^2 + M) of
-    # the exact distance, M the largest squared training-row norm: a sum of
-    # up to d' + 2 products errs by (d' + 2) eps times the sum of their
-    # magnitudes, which is at most 2 (|q|^2 + |b|^2) in the screen, and the
-    # direct residual's error is relative to |q - b|^2 <= 2 (|q|^2 + |b|^2).
-    # The true minimum can screen at most four such errors (both forms, on
-    # it and on the screened minimum) above the screened minimum;
-    # LINE_SCREEN_SLACK = 64 leaves a 1.6x margin over 40.
-    slack = LINE_SCREEN_SLACK * (T.shape[1] + 2) * np.finfo(float).eps * (q_norms + t_norms.max())
-    # One pass: a line within slack of the final floor is within slack of
-    # the running floor when it is screened, so the kept set covers every
-    # candidate; the final floor then prunes it.
-    floor = np.full(Q.shape[0], np.inf)
-    kept = []
-    for rows, start, screen in _line_screens(T, Q, pairs, t_norms, q_norms):
-        np.minimum(floor[rows], screen.min(axis=1), out=floor[rows])
-        bound = floor[rows] + slack[rows]
-        bound[np.isposinf(bound)] = -np.inf  # no finite screen yet: nothing to keep
-        q, p = np.nonzero(screen <= bound[:, None])
-        kept.append((q + rows.start, p + start, screen[q, p]))
-    if np.isposinf(floor).all():
-        raise ValueError("all candidate pairs are degenerate")
-    q, p, screened = (np.concatenate(parts) for parts in zip(*kept))
-    within = screened <= floor[q] + slack[q]
-    q, p = q[within], p[within]
-    dist = np.empty(q.size)
-    step = max(1, CHUNK_ELEMENTS // T.shape[1])
-    for c in range(0, q.size, step):
-        part = slice(c, c + step)
-        _, rho, _ = project_onto_lines(Q[q[part]], T[pairs[p[part], 0]], T[pairs[p[part], 1]])
-        dist[part] = np.einsum("ij,ij->i", rho, rho)
-    # per query, the first minimum in pair order
-    order = np.lexsort((p, dist, q))
-    best = p[order[np.diff(q[order], prepend=-1) != 0]]
-    if best.size != Q.shape[0]:
-        raise ValueError("non-finite line distances: rows and queries must be finite")
+
+    def rescore(q, p):
+        _, rho, _ = project_onto_lines(Q[q], T[pairs[p, 0]], T[pairs[p, 1]])
+        return np.einsum("ij,ij->i", rho, rho)
+
+    screens = _line_screens(T, Q, pairs, t_norms, q_norms)
+    best = nearest_candidates(screens, rescore, q_norms + t_norms.max(), T.shape[1])[:, 0]
     j, k = pairs[best, 0], pairs[best, 1]
     if pair_scope == "within_class":
         pred = labels[j]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearline.data import Dataset
-from nearline.geometry import project_onto_lines
+from nearline.geometry import blocks, nearest_rows, project_onto_lines
 from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 
 log = logging.getLogger(__name__)
@@ -35,15 +35,6 @@ log = logging.getLogger(__name__)
 # directions the residuals never span; they are ranked after all others so
 # the projection does not collapse onto pure noise directions.
 TRIVIAL_EIGENVALUE_RTOL = 1e-10
-
-# Upper bound on the elements of each (rows x n) block of screened distances
-# the neighbor search holds (one row per block at least).
-KNN_BLOCK_ELEMENTS = 1 << 16
-
-# Upper bound on the elements of each (lines x features) block of temporaries
-# the scatter step uses to build its residual matrix (one line per block at
-# least); only the residual matrix itself is held whole.
-SCATTER_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,38 +120,14 @@ def _features_of(data) -> np.ndarray:
 def k_nearest_neighbors(features: np.ndarray, K: int) -> np.ndarray:
     """Indices of the K nearest rows to each row, by squared distance.
 
-    Exact, ties broken by the smaller index.  A Gram-form screen,
-    ``|x_i|^2 + |x_j|^2 - 2 <x_i, x_j>`` from one matrix product per block of
-    rows, keeps every candidate within a rounding slack of the row's K-th
-    screened distance.  The slack bounds the rounding of both the screen and
-    the direct form, so the kept set holds the true K nearest rows even where
-    the Gram form cancels badly.  The kept candidates are then rescored with
-    the direct ``sum((x_j - x_i)^2)`` and ranked by a stable argsort over
-    index order, the same result as ranking every row by the direct form.
+    Exact, ties broken by the smaller index (``geometry.nearest_rows``): the
+    same neighbors as ranking every row by the direct ``sum((x_j - x_i)^2)``.
     """
     X = np.asarray(features, dtype=float)
-    n, d = X.shape
+    n = X.shape[0]
     if not 1 <= K <= n - 1:
         raise ValueError(f"K must be in [1, {n - 1}], got {K}")
-    norms = np.einsum("ij,ij->i", X, X)
-    # Each form is within about (d + 3) * eps * (|x_i|^2 + |x_j|^2) of the
-    # exact distance, so a true neighbor screens at most twice the sum of
-    # both errors, about 4 (d + 2) eps (...), above the K-th screened value;
-    # the factor 8 leaves a 2x margin.
-    slack = 8 * (d + 2) * np.finfo(float).eps * (norms + norms.max())
-    neighbors = np.empty((n, K), dtype=int)
-    step = max(1, KNN_BLOCK_ELEMENTS // n)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        screen = norms[rows, None] + norms - 2.0 * (X[rows] @ X.T)
-        screen[np.arange(rows.size), rows] = np.inf
-        kth = np.partition(screen, K - 1, axis=1)[:, K - 1]
-        keep = screen <= (kth + slack[rows])[:, None]
-        for r, i in enumerate(rows):
-            cand = np.flatnonzero(keep[r])
-            d2 = np.sum((X[cand] - X[i]) ** 2, axis=1)
-            neighbors[i] = cand[np.argsort(d2, kind="stable")[:K]]
-    return neighbors
+    return nearest_rows(X, K=K)
 
 
 def build_neighbor_lines(dataset, K: int) -> NeighborLineIndex:
@@ -231,7 +198,7 @@ def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np
     products of the input-space residuals of the kept lines, symmetrized.
 
     The residual matrix is filled in blocks of lines, so besides it only
-    temporaries of at most ``SCATTER_BLOCK_ELEMENTS`` elements are alive;
+    temporaries of at most ``geometry.BLOCK_ELEMENTS`` elements are alive;
     each element is computed as ``(x_i - x_k) - alpha * (x_j - x_k)``.
     """
     i_idx, j_idx, k_idx = triples
@@ -240,9 +207,7 @@ def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np
             return np.zeros((X.shape[1], X.shape[1]))
         i_idx, j_idx, k_idx, alpha = i_idx[ok], j_idx[ok], k_idx[ok], alpha[ok]
     R = np.empty((i_idx.size, X.shape[1]))
-    step = max(1, SCATTER_BLOCK_ELEMENTS // max(1, X.shape[1]))
-    for start in range(0, i_idx.size, step):
-        rows = slice(start, start + step)
+    for rows in blocks(i_idx.size, X.shape[1]):
         Xk = X.take(k_idx[rows], axis=0)
         np.subtract(X.take(i_idx[rows], axis=0), Xk, out=R[rows])
         D = X.take(j_idx[rows], axis=0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearline import evaluate
+from nearline import evaluate, geometry
 from nearline.baselines import BaselineConfig
 from nearline.data import Dataset, SplitSpec
 from nearline.evaluate import (
@@ -20,7 +20,7 @@ from nearline.evaluate import (
 )
 from nearline.geometry import DEGENERACY_RTOL, DegenerateLineError, point_line_sqdist, project_onto_lines
 from nearline.model_io import report_json
-from nearline.nlp import TrainConfig
+from nearline.nlp import TrainConfig, k_nearest_neighbors
 from nearline.synthetic import gaussian_blobs, manifold_classes, separable_clusters
 
 
@@ -65,6 +65,25 @@ def triu_candidate_pairs(labels, scope):
         members[np.stack(np.triu_indices(members.size, 1), axis=1)] for members in classes
     ])
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def direct_1nn(train, labels, queries):
+    """1-NN labels from the direct ``sum((t - q)^2)`` to every training row,
+    each query taking its first minimum in row order: the oracle for the
+    screened 1-NN."""
+    return np.array([labels[np.argmin(np.sum((train - q) ** 2, axis=1))] for q in queries], dtype=int)
+
+
+def direct_classify(train, labels, queries, classifier, budget):
+    if classifier == "nn":
+        return direct_1nn(train, labels, queries)
+    return direct_nearest_line(train, labels, queries, classifier, budget)
+
+
+def classify(train, labels, queries, classifier):
+    if classifier == "nn":
+        return classify_1nn(train, labels, queries)
+    return classify_nearest_line(train, labels, queries, classifier)
 
 
 def direct_nearest_line(train, labels, queries, scope, budget):
@@ -178,9 +197,21 @@ class TestClassifyNearestLine:
     def test_non_finite_distances_rejected(self):
         train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [1.0, 3.0]])
         labels = np.array([0, 0, 1, 1])
-        for queries in (np.array([np.nan, 0.0]), np.array([[0.0, 0.1], [np.inf, 0.0]])):
+        for queries in (np.array([np.nan, 0.0]), np.array([[0.0, 0.1], [np.inf, 0.0]]), np.array([-np.inf, 0.0])):
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
                 classify_nearest_line(train, labels, queries)
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+                classify_1nn(train, labels, queries)
+        for query in ([np.nan, 0.0], [np.inf, 0.0]):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+                classify_1nn(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([3, 4]), np.array(query))
+        for bad in (np.nan, np.inf):
+            rows = train.copy()
+            rows[2, 1] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+                classify_1nn(rows, labels, np.zeros(2))
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+                k_nearest_neighbors(rows, 2)
 
     def test_all_pairs_uses_nearer_endpoint_label(self):
         train = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -293,7 +324,7 @@ class TestBatchedClassifiers:
     @settings(deadline=None, max_examples=150)
     def test_1nn_block_matches_single_queries_and_oracle(self, problem):
         train, labels, queries, budget, on_grid = problem
-        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
+        with mock.patch.object(geometry, "BLOCK_ELEMENTS", budget):
             block = classify_1nn(train, labels, queries)
             singles = [classify_1nn(train, labels, q) for q in queries]
         assert all(type(s) is int for s in singles)
@@ -308,7 +339,7 @@ class TestBatchedClassifiers:
     @settings(deadline=None, max_examples=150)
     def test_nearest_line_block_matches_single_queries_and_oracle(self, problem, scope):
         train, labels, queries, budget, on_grid = problem
-        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
+        with mock.patch.object(geometry, "BLOCK_ELEMENTS", budget):
             try:
                 block = classify_nearest_line(train, labels, queries, scope)
             except ValueError:
@@ -339,7 +370,7 @@ class TestBatchedClassifiers:
             whole = classify_nearest_line(train, labels, queries, scope)
         except ValueError:
             return
-        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
+        with mock.patch.object(geometry, "BLOCK_ELEMENTS", budget):
             blocked = classify_nearest_line(train, labels, queries, scope)
         assert blocked.tolist() == whole.tolist()
 
@@ -364,33 +395,33 @@ class TestBatchedClassifiers:
         assert pairs.shape == (10_000, 2)
         assert peak < 2**20
 
-    @given(cancelling_problems(), st.sampled_from(["within_class", "all_pairs"]))
-    @settings(deadline=None, max_examples=300)
-    def test_screen_matches_direct_scoring_where_it_cancels(self, problem, scope):
+    @given(cancelling_problems(), st.sampled_from(["within_class", "all_pairs", "nn"]))
+    @settings(deadline=None, max_examples=450)
+    def test_screen_matches_direct_scoring_where_it_cancels(self, problem, classifier):
         train, labels, queries, budget = problem
-        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget):
+        with mock.patch.object(geometry, "BLOCK_ELEMENTS", budget):
             try:
-                got = classify_nearest_line(train, labels, queries, scope)
+                got = classify(train, labels, queries, classifier)
             except ValueError:
                 with pytest.raises(ValueError):
-                    direct_nearest_line(train, labels, queries, scope, budget)
+                    direct_classify(train, labels, queries, classifier, budget)
                 return
-        assert got.tolist() == direct_nearest_line(train, labels, queries, scope, budget).tolist()
+        assert got.tolist() == direct_classify(train, labels, queries, classifier, budget).tolist()
 
-    @given(exact_problems(), st.sampled_from(["within_class", "all_pairs"]))
-    @settings(deadline=None, max_examples=150)
-    def test_exact_screens_need_no_slack(self, problem, scope):
-        # the screen's minimum equals every exactly tied line's distance, so
-        # with no slack the keep test must still keep them all
+    @given(exact_problems(), st.sampled_from(["within_class", "all_pairs", "nn"]))
+    @settings(deadline=None, max_examples=225)
+    def test_exact_screens_need_no_slack(self, problem, classifier):
+        # the screen's minimum equals every exactly tied candidate's
+        # distance, so with no slack the keep test must still keep them all
         train, labels, queries, budget = problem
-        with mock.patch.object(evaluate, "CHUNK_ELEMENTS", budget), mock.patch.object(evaluate, "LINE_SCREEN_SLACK", 0):
+        with mock.patch.object(geometry, "BLOCK_ELEMENTS", budget), mock.patch.object(geometry, "SCREEN_SLACK", 0):
             try:
-                got = classify_nearest_line(train, labels, queries, scope)
+                got = classify(train, labels, queries, classifier)
             except ValueError:
                 with pytest.raises(ValueError):
-                    direct_nearest_line(train, labels, queries, scope, budget)
+                    direct_classify(train, labels, queries, classifier, budget)
                 return
-        assert got.tolist() == direct_nearest_line(train, labels, queries, scope, budget).tolist()
+        assert got.tolist() == direct_classify(train, labels, queries, classifier, budget).tolist()
 
     def test_exact_ties_follow_the_documented_order(self):
         # rows 0 and 1 coincide, so lines (0, 2) and (1, 2) tie exactly;
@@ -403,6 +434,13 @@ class TestBatchedClassifiers:
         # a query equidistant from both endpoints takes the first one's label
         equidistant = np.array([[2.0, 1.0], [2.0, -3.0]])
         assert classify_nearest_line(train, labels, equidistant, "all_pairs").tolist() == [4, 4]
+
+    def test_empty_query_block_gives_no_labels(self):
+        train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+        labels = np.array([0, 0, 1])
+        for classify_block in (classify_1nn, classify_nearest_line):
+            preds = classify_block(train, labels, np.empty((0, 2)))
+            assert preds.shape == (0,) and np.issubdtype(preds.dtype, np.integer)
 
     def test_query_shape_checked(self):
         train = np.zeros((3, 2))

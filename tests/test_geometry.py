@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nearline import geometry
 from nearline.geometry import (
     DegenerateLineError,
     is_degenerate_line,
     line_alpha,
     line_residual,
+    nearest_candidates,
     point_line_sqdist,
     project_onto_lines,
 )
@@ -256,3 +260,56 @@ class TestProjectOntoLines:
             assert np.array_equal(ok, ok_q)
             assert np.array_equal(alpha[q], alpha_q)
             assert np.array_equal(rho[q], rho_q)
+
+
+@st.composite
+def search_problems(draw):
+    """Rows and queries up to 1e8 from the origin that differ by small
+    integers (the Gram screen cancels, direct distances tie exactly), some
+    candidates ruled out, and query and candidate block widths small enough
+    that every query meets several candidate blocks."""
+    d = draw(st.integers(1, 4))
+    offset = draw(st.sampled_from([0.0, 1e3, -1e6, 1e8]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 12))
+    T = offset + rng.integers(-3, 4, size=(n, d)).astype(float)
+    Q = offset + rng.integers(-3, 4, size=(draw(st.integers(1, 8)), d)).astype(float)
+    out = rng.random((Q.shape[0], n)) < draw(st.sampled_from([0.0, 0.3]))
+    return T, Q, out, draw(st.integers(1, n)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+
+
+class TestNearestCandidates:
+    @given(search_problems(), st.integers(1, 40))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_direct_ranking(self, problem, budget):
+        # several candidate blocks per query exercise the running K-th value
+        # for K > 1, which neither caller's screens do
+        T, Q, out, K, query_width, candidate_width = problem
+        t_norms, q_norms = np.einsum("ij,ij->i", T, T), np.einsum("ij,ij->i", Q, Q)
+
+        def screens():
+            for start in range(0, T.shape[0], candidate_width):
+                cols = slice(start, start + candidate_width)
+                for first in range(0, Q.shape[0], query_width):
+                    rows = slice(first, first + query_width)
+                    screen = q_norms[rows, None] + t_norms[cols] - 2.0 * (Q[rows] @ T[cols].T)
+                    screen[out[rows, cols]] = np.inf
+                    yield rows, start, screen
+
+        def rescore(q, c):
+            return np.sum((T[c] - Q[q]) ** 2, axis=1)
+
+        want = []
+        for q, ruled_out in zip(Q, out):
+            dist = np.sum((T - q) ** 2, axis=1)
+            ranked = [c for c in np.lexsort((np.arange(T.shape[0]), dist)) if not ruled_out[c]]
+            want.append(ranked[:K])
+        scale = q_norms + t_norms.max()
+        with mock.patch.object(geometry, "BLOCK_ELEMENTS", budget):
+            if min(len(w) for w in want) < K:
+                with pytest.raises(ValueError):
+                    nearest_candidates(screens(), rescore, scale, T.shape[1], K)
+            else:
+                got = nearest_candidates(screens(), rescore, scale, T.shape[1], K)
+                assert got.tolist() == want

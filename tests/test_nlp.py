@@ -8,6 +8,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nearline.geometry
 import nearline.nlp
 from conftest import centered
 from nearline.data import Dataset
@@ -91,7 +92,7 @@ class TestKNearestNeighbors:
     @settings(deadline=None, max_examples=120)
     def test_matches_exhaustive_oracle(self, problem):
         X, K, budget = problem
-        with mock.patch.object(nearline.nlp, "KNN_BLOCK_ELEMENTS", budget):
+        with mock.patch.object(nearline.geometry, "BLOCK_ELEMENTS", budget):
             got = k_nearest_neighbors(X, K)
         assert got.tolist() == brute_force_knn(X, K)
 
@@ -101,7 +102,7 @@ class TestKNearestNeighbors:
         X[[3, 9, 17]] = X[12]
         whole = k_nearest_neighbors(X, 6)
         for budget in (1, 23, 50, 69, 5 * 23):
-            with mock.patch.object(nearline.nlp, "KNN_BLOCK_ELEMENTS", budget):
+            with mock.patch.object(nearline.geometry, "BLOCK_ELEMENTS", budget):
                 assert np.array_equal(k_nearest_neighbors(X, 6), whole)
         assert whole.tolist() == brute_force_knn(X, 6)
 
@@ -580,7 +581,7 @@ class TestSingleLinePass:
         index = build_neighbor_lines(X, config.K)
         W = np.random.default_rng(seed).normal(size=(ds.d, config.d_prime))
         L, value = direct_scatter_and_objective(X, index, W)
-        with mock.patch.object(nearline.nlp, "SCATTER_BLOCK_ELEMENTS", budget):
+        with mock.patch.object(nearline.geometry, "BLOCK_ELEMENTS", budget):
             assert np.array_equal(assemble_scatter(X, index, W), L)
         assert np.array_equal(assemble_scatter(X, index, W), L)
         assert objective(X, index, W) == value
