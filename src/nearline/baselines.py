@@ -25,15 +25,13 @@ LPP_REG_RTOL = 1e-8
 class BaselineConfig:
     """Configuration of one baseline method.
 
-    ``K`` and ``heat_sigma`` only matter for LPP: the neighbor count of the
-    affinity graph and the heat-kernel width ("auto" uses the median nonzero
-    neighbor distance).
+    ``K`` only matters for LPP: the neighbor count of its heat-kernel
+    affinity graph, whose width is the median nonzero neighbor distance.
     """
 
     method: str
     d_prime: int
     K: int = 5
-    heat_sigma: float | str = "auto"
 
     def __post_init__(self):
         if self.method not in ("pca", "lpp"):
@@ -42,10 +40,6 @@ class BaselineConfig:
             raise ValueError(f"d_prime must be >= 1, got {self.d_prime}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.heat_sigma != "auto" and not (
-            isinstance(self.heat_sigma, (int, float)) and self.heat_sigma > 0
-        ):
-            raise ValueError(f"heat_sigma must be positive or 'auto', got {self.heat_sigma!r}")
 
 
 def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
@@ -70,16 +64,14 @@ def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
     )
 
 
-def _knn_affinity(X: np.ndarray, neighbors: np.ndarray, heat_sigma) -> np.ndarray:
-    """Symmetric heat-kernel adjacency of the graph linking i to ``neighbors[i]``."""
+def _knn_affinity(X: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Symmetric heat-kernel adjacency of the graph linking i to ``neighbors[i]``,
+    its width the median nonzero neighbor distance."""
     n = X.shape[0]
     diffs = X[neighbors] - X[:, None, :]
     d2 = np.einsum("ikj,ikj->ik", diffs, diffs)
-    if heat_sigma == "auto":
-        dists = np.sqrt(d2[d2 > 0])
-        sigma = float(np.median(dists)) if dists.size else 1.0
-    else:
-        sigma = float(heat_sigma)
+    dists = np.sqrt(d2[d2 > 0])
+    sigma = float(np.median(dists)) if dists.size else 1.0
     B = np.zeros((n, n))
     B[np.arange(n)[:, None], neighbors] = np.exp(-d2 / (sigma * sigma))
     return np.maximum(B, B.T)
@@ -105,7 +97,7 @@ def train_lpp(data: Dataset | TrainingSplit, config: BaselineConfig) -> TrainedM
     if config.d_prime > d:
         raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
 
-    A = _knn_affinity(X, split.neighbor_lines(config.K).neighbors, config.heat_sigma)
+    A = _knn_affinity(X, split.neighbor_lines(config.K).neighbors)
     degrees = A.sum(axis=1)
     L_graph = np.diag(degrees) - A
 

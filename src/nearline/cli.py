@@ -17,7 +17,7 @@ from nearline.baselines import BaselineConfig
 from nearline.data import SplitSpec, load_csv, load_pgm_dir
 from nearline.evaluate import ExperimentError, fit_method, run_experiment, run_experiments
 from nearline.model_io import atomic_write_text, load_model, save_model, save_report
-from nearline.nlp import TrainConfig, project
+from nearline.nlp import EIGEN_ORDERS, INITS, TrainConfig, project
 
 log = logging.getLogger(__name__)
 
@@ -42,25 +42,25 @@ class RunSpec:
     """Parsed CLI invocation; ``to_flags`` reproduces the flag set exactly."""
 
     command: str
-    data: str | None = None
-    format: str = "csv"
-    label_col: str = "last"
-    method: str = "nlp"
-    methods: tuple[str, ...] = ()
-    k: int = 5
-    dim: int | None = None
-    dims: tuple[int, ...] = ()
-    max_iters: int = 50
-    tol: float = 1e-6
-    eigen_order: str = "smallest"
-    init: str = "pca"
-    train_frac: float | None = None
-    repeats: int = 10
-    seed: int = 0
-    classifier: str = "nn"
-    out: str | None = None
-    model: str | None = None
-    quiet: bool = False
+    data: str | None
+    format: str
+    label_col: str
+    method: str
+    methods: tuple[str, ...]
+    k: int
+    dim: int | None
+    dims: tuple[int, ...]
+    max_iters: int
+    tol: float
+    eigen_order: str
+    init: str
+    train_frac: float | None
+    repeats: int
+    seed: int
+    classifier: str
+    out: str | None
+    model: str | None
+    quiet: bool
 
     def to_flags(self) -> list[str]:
         """Canonical argv that parses back into this exact spec."""
@@ -120,12 +120,12 @@ def _build_parser() -> _Parser:
     shared.add_argument("--k", type=int, default=5)
     shared.add_argument("--dim", type=int, default=None)
     shared.add_argument("--dims", type=_csv_int_list, default=())
-    shared.add_argument("--max-iters", dest="max_iters", type=int, default=50)
-    shared.add_argument("--tol", type=float, default=1e-6)
-    shared.add_argument("--eigen-order", dest="eigen_order", choices=("smallest", "largest"), default="smallest")
-    shared.add_argument("--init", choices=("pca", "identity"), default="pca")
+    shared.add_argument("--max-iters", dest="max_iters", type=int, default=TrainConfig.max_iters)
+    shared.add_argument("--tol", type=float, default=TrainConfig.rel_tol)
+    shared.add_argument("--eigen-order", dest="eigen_order", choices=EIGEN_ORDERS, default=TrainConfig.eigen_order)
+    shared.add_argument("--init", choices=INITS, default=TrainConfig.init)
     shared.add_argument("--train-frac", dest="train_frac", type=float, default=None)
-    shared.add_argument("--repeats", type=int, default=10)
+    shared.add_argument("--repeats", type=int, default=SplitSpec.repeats)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--classifier", choices=CLASSIFIER_FLAGS, default="nn")
     shared.add_argument("--out", default=None)
@@ -140,8 +140,7 @@ def _build_parser() -> _Parser:
 
 
 def _validate_spec(spec: RunSpec) -> None:
-    need_data = spec.command in ("train", "project", "evaluate", "compare")
-    if need_data and spec.data is None:
+    if spec.data is None:
         raise CliValidationError(f"{spec.command} requires --data")
     if spec.out is None:
         raise CliValidationError(f"{spec.command} requires --out")
@@ -192,6 +191,10 @@ def _method_config(spec: RunSpec, method: str, d_prime: int):
     return BaselineConfig(method="lpp", d_prime=d_prime, K=spec.k)
 
 
+def _split_spec(spec: RunSpec) -> SplitSpec:
+    return SplitSpec(train_fraction=spec.train_frac, seed=spec.seed, repeats=spec.repeats)
+
+
 def _sibling_path(out, suffix: str) -> Path:
     out = Path(out)
     return out.with_name(out.stem + suffix)
@@ -231,7 +234,7 @@ def _cmd_project(spec: RunSpec) -> None:
 
 def _cmd_evaluate(spec: RunSpec) -> None:
     config = _method_config(spec, spec.method, spec.dim)
-    split = SplitSpec(train_fraction=spec.train_frac, seed=spec.seed, repeats=spec.repeats)
+    split = _split_spec(spec)
     dataset = _load_dataset(spec)
     report = run_experiment(dataset, config, split, _classifier_name(spec))
     save_report(report, spec.out, _sibling_path(spec.out, ".csv"))
@@ -239,7 +242,7 @@ def _cmd_evaluate(spec: RunSpec) -> None:
 
 
 def _cmd_compare(spec: RunSpec) -> None:
-    split = SplitSpec(train_fraction=spec.train_frac, seed=spec.seed, repeats=spec.repeats)
+    split = _split_spec(spec)
     cells = [(method, dim) for dim in spec.dims for method in spec.methods]
     configs = [_method_config(spec, method, dim) for method, dim in cells]
     dataset = _load_dataset(spec)

@@ -77,12 +77,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Parameters of the repeated random train/test split protocol."""
+    """Parameters of the repeated random train/test split protocol; every
+    split is stratified by class (``split_indices``)."""
 
     train_fraction: float
     seed: int
     repeats: int = 10
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -338,23 +338,17 @@ def _train_counts(class_sizes: np.ndarray, train_fraction: float) -> np.ndarray:
     quotas = train_fraction * class_sizes
     counts = np.floor(quotas).astype(int)
     remainder = total - int(counts.sum())
-    if remainder > 0:
-        frac = quotas - np.floor(quotas)
-        order = np.lexsort((np.arange(len(class_sizes)), -frac))
-        pos = 0
-        while remainder > 0:
-            c = order[pos % len(order)]
-            if counts[c] < class_sizes[c]:
-                counts[c] += 1
-                remainder -= 1
-            pos += 1
-            if pos > 2 * len(order) and remainder > 0:
-                raise ValueError("train_fraction leaves no room for a valid split")
+    # the remainder is at most the number of classes, and with 0 < f < 1
+    # every class has room for one more seat
+    frac = quotas - np.floor(quotas)
+    order = np.lexsort((np.arange(len(class_sizes)), -frac))
+    counts[order[:remainder]] += 1
     return counts
 
 
 def split_indices(labels: np.ndarray, spec: SplitSpec, repeat_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint, exhaustive (train, test) index arrays for one repeat.
+    """Disjoint, exhaustive (train, test) index arrays for one repeat, each
+    class drawing its ``_train_counts`` share of train rows.
 
     Deterministic in (spec.seed, repeat_index): the generator is seeded with
     the pair, so every repeat has its own reproducible stream.
@@ -364,28 +358,20 @@ def split_indices(labels: np.ndarray, spec: SplitSpec, repeat_index: int) -> tup
     labels = np.asarray(labels)
     n = labels.shape[0]
     rng = np.random.default_rng([spec.seed, repeat_index])
-
-    if spec.stratified:
-        classes = np.unique(labels)
-        sizes = np.array([(labels == c).sum() for c in classes])
-        counts = _train_counts(sizes, spec.train_fraction)
-        if (counts < 1).any():
-            small = classes[np.argmin(counts)]
-            raise ValueError(
-                f"class {small} too small for stratified split at train_fraction {spec.train_fraction}"
-            )
-        train_parts = []
-        for c, count in zip(classes, counts):
-            members = np.flatnonzero(labels == c)
-            perm = rng.permutation(members.size)
-            train_parts.append(members[perm[:count]])
-        train = np.sort(np.concatenate(train_parts))
-    else:
-        total = int(np.floor(spec.train_fraction * n + 0.5))
-        if total < 1:
-            raise ValueError("train_fraction yields an empty training set")
-        perm = rng.permutation(n)
-        train = np.sort(perm[:total])
+    classes = np.unique(labels)
+    sizes = np.array([(labels == c).sum() for c in classes])
+    counts = _train_counts(sizes, spec.train_fraction)
+    if (counts < 1).any():
+        small = classes[np.argmin(counts)]
+        raise ValueError(
+            f"class {small} too small for stratified split at train_fraction {spec.train_fraction}"
+        )
+    train_parts = []
+    for c, count in zip(classes, counts):
+        members = np.flatnonzero(labels == c)
+        perm = rng.permutation(members.size)
+        train_parts.append(members[perm[:count]])
+    train = np.sort(np.concatenate(train_parts))
 
     mask = np.zeros(n, dtype=bool)
     mask[train] = True

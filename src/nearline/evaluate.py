@@ -22,10 +22,10 @@ from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, project, trai
 log = logging.getLogger(__name__)
 
 CLASSIFIERS = ("nn", "nearest_line")
-PAIR_SCOPES = ("within_class", "all_pairs")
 
 class ExperimentError(RuntimeError):
-    """A repeat of the evaluation protocol failed; carries the repeat index."""
+    """A repeat of the evaluation protocol failed; the message names the
+    repeat and, when a fit or a classification failed, the method and d'."""
 
 
 @dataclass
@@ -67,21 +67,17 @@ def classify_1nn(train_projected: np.ndarray, train_labels: np.ndarray, query) -
     return int(pred[0]) if single else pred
 
 
-def _candidate_pairs(labels: np.ndarray, pair_scope: str) -> np.ndarray:
-    """All candidate (j, k) training pairs, j < k, in lexicographic order.
+def _candidate_pairs(labels: np.ndarray) -> np.ndarray:
+    """All same-class (j, k) training pairs, j < k, in lexicographic order.
 
     A stable sort by label lists each class in index order, so row j pairs
-    with the rows after it in its class's run (after it in the whole set for
-    ``all_pairs``); taking the rows j in index order emits the pairs already
-    sorted, in memory linear in the pair count.
+    with the rows after it in its class's run; taking the rows j in index
+    order emits the pairs already sorted, in memory linear in the pair count.
     """
-    if pair_scope not in PAIR_SCOPES:
-        raise ValueError(f"pair_scope must be one of {PAIR_SCOPES}, got {pair_scope!r}")
     n = labels.shape[0]
-    keys = labels if pair_scope == "within_class" else np.zeros(n, dtype=int)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    run_end = np.searchsorted(sorted_keys, sorted_keys, side="right")
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    run_end = np.searchsorted(sorted_labels, sorted_labels, side="right")
     pos = np.empty(n, dtype=int)
     pos[order] = np.arange(n)  # place of each row in the sorted order
     counts = run_end[pos] - pos - 1  # partners after each row in its run
@@ -125,17 +121,10 @@ def _line_screens(T: np.ndarray, Q: np.ndarray, pairs: np.ndarray, t_norms: np.n
             yield rows, lines.start, screen
 
 
-def classify_nearest_line(
-    train_projected: np.ndarray,
-    train_labels: np.ndarray,
-    query,
-    pair_scope: str = "within_class",
-) -> int | np.ndarray:
-    """Label of the training-pair line nearest to the query.
+def classify_nearest_line(train_projected: np.ndarray, train_labels: np.ndarray, query) -> int | np.ndarray:
+    """Class of the same-class training-pair line nearest to the query.
 
-    ``within_class`` restricts candidate lines to pairs sharing a class and
-    returns that class; ``all_pairs`` searches every pair and returns the
-    label of the pair endpoint nearer to the query.  Degenerate pairs are
+    Only pairs sharing a class are candidate lines.  Degenerate pairs are
     never chosen (their distance counts as infinite); ties go to the
     lexicographically smaller pair.  A 1-D query returns an ``int``; a 2-D
     block with one query per row returns an int array.
@@ -148,9 +137,9 @@ def classify_nearest_line(
     T = np.asarray(train_projected, dtype=float)
     labels = np.asarray(train_labels)
     Q, single = _query_block(T, query)
-    pairs = _candidate_pairs(labels, pair_scope)
+    pairs = _candidate_pairs(labels)
     if pairs.shape[0] == 0:
-        raise ValueError(f"no candidate pairs for scope {pair_scope!r}")
+        raise ValueError("no candidate pairs: no class has two training rows")
     t_norms, q_norms = np.einsum("ij,ij->i", T, T), np.einsum("ij,ij->i", Q, Q)
 
     def rescore(q, p):
@@ -159,14 +148,7 @@ def classify_nearest_line(
 
     screens = _line_screens(T, Q, pairs, t_norms, q_norms)
     best = nearest_candidates(screens, rescore, q_norms + t_norms.max(), T.shape[1])[:, 0]
-    j, k = pairs[best, 0], pairs[best, 1]
-    if pair_scope == "within_class":
-        pred = labels[j]
-    else:
-        dj = np.sum((Q - T[j]) ** 2, axis=1)
-        dk = np.sum((Q - T[k]) ** 2, axis=1)
-        pred = np.where(dj <= dk, labels[j], labels[k])
-    pred = pred.astype(int)
+    pred = labels[pairs[best, 0]].astype(int)
     return int(pred[0]) if single else pred
 
 
@@ -183,6 +165,10 @@ def fit_method(data: Dataset | TrainingSplit, method_config) -> TrainedModel:
 
 def method_name(method_config) -> str:
     return "nlp" if isinstance(method_config, TrainConfig) else method_config.method
+
+
+def _step(repeat: int, method_config) -> str:
+    return f"repeat {repeat}, {method_name(method_config)} d'={method_config.d_prime}"
 
 
 def run_experiments(
@@ -204,21 +190,27 @@ def run_experiments(
     test_labels: list[np.ndarray] = []
     hits: list[list[np.ndarray]] = [[] for _ in method_configs]
     for r in range(split.repeats):
+        where = f"repeat {r}"  # the step a failure is reported against
         try:
             train_idx, test_idx = split_indices(dataset.labels, split, r)
             # the fits hold only the split's centered copy of the train rows;
             # the raw rows of both sides are gathered once the fits are done
             shared = TrainingSplit(dataset.subset(train_idx))
-            models = [fit_method(shared, config) for config in method_configs]
+            models = []
+            for config in method_configs:
+                where = _step(r, config)
+                models.append(fit_method(shared, config))
             del shared
+            where = f"repeat {r}"
             train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
             test_labels.append(test_ds.labels)
             for config, model, config_hits in zip(method_configs, models, hits):
+                where = _step(r, config)
                 train_y, test_y = project(model, train_ds.features), project(model, test_ds.features)
                 config_hits.append(classify(train_y, train_ds.labels, test_y) == test_ds.labels)
-                log.debug("repeat %d %s: accuracy %.4f", r, method_name(config), np.mean(config_hits[-1]))
+                log.debug("%s: accuracy %.4f", where, np.mean(config_hits[-1]))
         except Exception as exc:
-            raise ExperimentError(f"repeat {r} failed: {exc}") from exc
+            raise ExperimentError(f"{where} failed: {exc}") from exc
         del train_ds, test_ds, models  # freed before the next split is built
     labels = np.concatenate(test_labels)
     return [_report(config, labels, config_hits, split, classifier) for config, config_hits in zip(method_configs, hits)]

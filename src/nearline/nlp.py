@@ -36,6 +36,9 @@ log = logging.getLogger(__name__)
 # the projection does not collapse onto pure noise directions.
 TRIVIAL_EIGENVALUE_RTOL = 1e-10
 
+EIGEN_ORDERS = ("smallest", "largest")
+INITS = ("pca", "identity")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -57,10 +60,10 @@ class TrainConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.rel_tol < 0:
             raise ValueError("rel_tol must be nonnegative")
-        if self.eigen_order not in ("smallest", "largest"):
-            raise ValueError(f"eigen_order must be 'smallest' or 'largest', got {self.eigen_order!r}")
-        if self.init not in ("pca", "identity"):
-            raise ValueError(f"init must be 'pca' or 'identity', got {self.init!r}")
+        if self.eigen_order not in EIGEN_ORDERS:
+            raise ValueError(f"eigen_order must be one of {EIGEN_ORDERS}, got {self.eigen_order!r}")
+        if self.init not in INITS:
+            raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -267,8 +270,8 @@ def eigen_step(L: np.ndarray, d_prime: int, order: str = "smallest") -> np.ndarr
     d = L.shape[0]
     if not 1 <= d_prime <= d:
         raise ValueError(f"d_prime must be in [1, {d}], got {d_prime}")
-    if order not in ("smallest", "largest"):
-        raise ValueError(f"order must be 'smallest' or 'largest', got {order!r}")
+    if order not in EIGEN_ORDERS:
+        raise ValueError(f"order must be one of {EIGEN_ORDERS}, got {order!r}")
     vals, vecs = sym_eigh(L)
     if order == "largest":
         idx = np.arange(d)[::-1]

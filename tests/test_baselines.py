@@ -111,24 +111,17 @@ class TestLpp:
         cfg = BaselineConfig(method="lpp", d_prime=3, K=5)
         model = train_lpp(ds, cfg)
         X = centered(ds)
-        A = _knn_affinity(X, k_nearest_neighbors(X, cfg.K), cfg.heat_sigma)
+        A = _knn_affinity(X, k_nearest_neighbors(X, cfg.K))
         degrees = A.sum(axis=1)
         M_deg = X.T @ (degrees[:, None] * X)
         gram = model.projection.T @ M_deg @ model.projection
         assert np.abs(gram - np.eye(3)).max() < 1e-6
-
-    def test_fixed_sigma_accepted(self):
-        ds = two_far_clusters(seed=3)
-        model = train_lpp(ds, BaselineConfig(method="lpp", d_prime=2, K=4, heat_sigma=2.5))
-        assert model.projection.shape == (10, 2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="method"):
             BaselineConfig(method="lda", d_prime=2)
         with pytest.raises(ValueError, match="d_prime"):
             BaselineConfig(method="pca", d_prime=0)
-        with pytest.raises(ValueError, match="heat_sigma"):
-            BaselineConfig(method="lpp", d_prime=2, heat_sigma=-1.0)
 
     def test_k_too_large(self):
         ds = two_far_clusters(n_per=3, seed=4)
@@ -136,7 +129,7 @@ class TestLpp:
             train_lpp(ds, BaselineConfig(method="lpp", d_prime=1, K=6))
 
 
-def loop_affinity(X, K, heat_sigma):
+def loop_affinity(X, K):
     """Row-by-row heat-kernel kNN adjacency, symmetrized by max (oracle)."""
     n = X.shape[0]
     neighbors = k_nearest_neighbors(X, K)
@@ -144,11 +137,8 @@ def loop_affinity(X, K, heat_sigma):
     for i in range(n):
         diffs = X[neighbors[i]] - X[i]
         d2[i] = np.einsum("ij,ij->i", diffs, diffs)
-    if heat_sigma == "auto":
-        dists = np.sqrt(d2[d2 > 0])
-        sigma = float(np.median(dists)) if dists.size else 1.0
-    else:
-        sigma = float(heat_sigma)
+    dists = np.sqrt(d2[d2 > 0])
+    sigma = float(np.median(dists)) if dists.size else 1.0
     A = np.zeros((n, n))
     weights = np.exp(-d2 / (sigma * sigma))
     for i in range(n):
@@ -160,21 +150,19 @@ def loop_affinity(X, K, heat_sigma):
 
 
 class TestKnnAffinity:
-    @pytest.mark.parametrize("seed", [0, 7, 21])
-    @pytest.mark.parametrize("heat_sigma", ["auto", 0.7])
-    def test_matches_loop_oracle_bitwise(self, seed, heat_sigma):
+    # the ids name the heat-kernel width, always "auto" (the median distance)
+    @pytest.mark.parametrize("seed", [0, 7, 21], ids=lambda seed: f"auto-{seed}")
+    def test_matches_loop_oracle_bitwise(self, seed):
         X = centered(manifold_classes(n_per_class=12, ambient_dim=30, seed=seed))
         for K in (1, 3, 8):
-            assert np.array_equal(
-                _knn_affinity(X, k_nearest_neighbors(X, K), heat_sigma), loop_affinity(X, K, heat_sigma)
-            )
+            assert np.array_equal(_knn_affinity(X, k_nearest_neighbors(X, K)), loop_affinity(X, K))
 
     def test_duplicates_and_one_sided_neighbors(self):
         # duplicated rows give zero distances (weight 1, left out of the auto
         # width); the far point is nobody's neighbor but has neighbors itself
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [9.0, 9.0]])
-        A = _knn_affinity(X, k_nearest_neighbors(X, 2), "auto")
-        assert np.array_equal(A, loop_affinity(X, 2, "auto"))
+        A = _knn_affinity(X, k_nearest_neighbors(X, 2))
+        assert np.array_equal(A, loop_affinity(X, 2))
         assert np.array_equal(A, A.T)
         assert A[0, 1] == 1.0 and A[4, 3] > 0.0
 

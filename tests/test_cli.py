@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from nearline import cli
+from nearline.baselines import BaselineConfig
 from nearline.cli import RunSpec, main
-from nearline.data import save_csv
+from nearline.data import SplitSpec, save_csv
+from nearline.nlp import TrainConfig
 from nearline.synthetic import gaussian_blobs, separable_clusters
 
 
@@ -51,6 +55,29 @@ class TestRunSpecRoundTrip:
     def test_missing_required_flag(self, capsys):
         assert main(["train", "--data", "x.csv", "--dim", "2"]) == 1
         assert "--out" in capsys.readouterr().err
+
+    def test_every_setting_has_a_flag(self):
+        # every flag takes a value other than its default; every field of the
+        # configs the run builds must hold what its flag gave, so a field no
+        # flag reaches fails here
+        spec = RunSpec.from_argv([
+            "evaluate", "--data", "x.csv", "--out", "r.json", "--k", "7", "--dim", "3",
+            "--max-iters", "9", "--tol", "0.25", "--eigen-order", "largest", "--init", "identity",
+            "--train-frac", "0.3", "--repeats", "4", "--seed", "11",
+        ])
+        want = {
+            TrainConfig: {"K": 7, "d_prime": 3, "max_iters": 9, "rel_tol": 0.25,
+                          "eigen_order": "largest", "init": "identity"},
+            BaselineConfig: {"method": "lpp", "d_prime": 3, "K": 7},
+            SplitSpec: {"train_fraction": 0.3, "seed": 11, "repeats": 4},
+        }
+        built = [cli._method_config(spec, "nlp", spec.dim), cli._method_config(spec, "lpp", spec.dim),
+                 cli._split_spec(spec)]
+        assert [type(config) for config in built] == list(want)
+        for config in built:
+            fields = dataclasses.fields(config)
+            assert dataclasses.asdict(config) == want[type(config)]
+            assert all(getattr(config, f.name) != f.default for f in fields if f.default is not dataclasses.MISSING)
 
 
 class TestTrainCommand:

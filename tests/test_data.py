@@ -324,20 +324,21 @@ class TestSplits:
     def test_partition_over_many_random_specs(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            n_classes = int(rng.integers(2, 5))
-            per_class = int(rng.integers(4, 12))
-            labels = np.repeat(np.arange(n_classes), per_class)
+            sizes = rng.integers(4, 12, size=int(rng.integers(2, 5)))
+            labels = np.repeat(np.arange(sizes.size), sizes)
             spec = SplitSpec(
                 train_fraction=float(rng.uniform(0.3, 0.7)),
                 seed=int(rng.integers(0, 1_000_000)),
                 repeats=int(rng.integers(1, 4)),
-                stratified=bool(rng.integers(0, 2)),
             )
             repeat = int(rng.integers(0, spec.repeats))
             train, test = split_indices(labels, spec, repeat)
             union = np.union1d(train, test)
             assert np.array_equal(union, np.arange(labels.size))
             assert np.intersect1d(train, test).size == 0
+            counts = np.bincount(labels[train], minlength=sizes.size)
+            assert ((1 <= counts) & (counts <= sizes)).all()
+            assert counts.sum() == int(np.floor(spec.train_fraction * labels.size + 0.5))
 
     def test_distinct_repeats_differ(self):
         labels = np.repeat(np.arange(3), 20)

@@ -33,33 +33,25 @@ def exhaustive_1nn(train, labels, query):
     return int(best)
 
 
-def exhaustive_nearest_line(train, labels, query, scope):
-    best_label, best_d, best_pair = None, np.inf, None
+def exhaustive_nearest_line(train, labels, query):
+    best_label, best_d = None, np.inf
     for j, k in itertools.combinations(range(len(train)), 2):
-        if scope == "within_class" and labels[j] != labels[k]:
+        if labels[j] != labels[k]:
             continue
         try:
             d = point_line_sqdist(query, train[j], train[k])
         except DegenerateLineError:
             continue
         if d < best_d:
-            best_d, best_pair = d, (j, k)
-            if scope == "within_class":
-                best_label = int(labels[j])
-            else:
-                dj = float(np.sum((query - train[j]) ** 2))
-                dk = float(np.sum((query - train[k]) ** 2))
-                best_label = int(labels[j] if dj <= dk else labels[k])
-    if best_pair is None:
+            best_d, best_label = d, int(labels[j])
+    if best_label is None:
         raise ValueError("no valid pairs")
     return best_label
 
 
-def triu_candidate_pairs(labels, scope):
+def triu_candidate_pairs(labels):
     """Candidate pairs from one ``triu_indices`` per class, sorted by
     ``lexsort``: the oracle for the classifier's linear-memory enumeration."""
-    if scope == "all_pairs":
-        return np.stack(np.triu_indices(labels.shape[0], 1), axis=1)
     classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
     pairs = np.concatenate([np.empty((0, 2), dtype=int)] + [
         members[np.stack(np.triu_indices(members.size, 1), axis=1)] for members in classes
@@ -77,21 +69,21 @@ def direct_1nn(train, labels, queries):
 def direct_classify(train, labels, queries, classifier, budget):
     if classifier == "nn":
         return direct_1nn(train, labels, queries)
-    return direct_nearest_line(train, labels, queries, classifier, budget)
+    return direct_nearest_line(train, labels, queries, budget)
 
 
 def classify(train, labels, queries, classifier):
     if classifier == "nn":
         return classify_1nn(train, labels, queries)
-    return classify_nearest_line(train, labels, queries, classifier)
+    return classify_nearest_line(train, labels, queries)
 
 
-def direct_nearest_line(train, labels, queries, scope, budget):
+def direct_nearest_line(train, labels, queries, budget):
     """Nearest-line labels from the direct residual of every (query, line)
     pair, scored in pair blocks and query chunks of at most ``budget``
     elements per (queries x lines x d') temporary, each query keeping its
     first minimum in pair order: the oracle for the screened classifier."""
-    pairs = triu_candidate_pairs(labels, scope)
+    pairs = triu_candidate_pairs(labels)
     if pairs.shape[0] == 0:
         raise ValueError("no candidate pairs")
     best_dist = np.full(len(queries), np.inf)
@@ -113,12 +105,7 @@ def direct_nearest_line(train, labels, queries, scope, budget):
             best[rows] = np.where(better, start + first, best[rows])
     if not any_line:
         raise ValueError("all candidate pairs are degenerate")
-    j, k = pairs[best, 0], pairs[best, 1]
-    if scope == "within_class":
-        return labels[j].astype(int)
-    dj = np.sum((queries - train[j]) ** 2, axis=1)
-    dk = np.sum((queries - train[k]) ** 2, axis=1)
-    return np.where(dj <= dk, labels[j], labels[k]).astype(int)
+    return labels[pairs[best, 0]].astype(int)
 
 
 class TestClassify1nn:
@@ -171,10 +158,7 @@ class TestClassifyNearestLine:
             if max(np.bincount(labels)) < 2:
                 continue
             q = rng.normal(size=d)
-            for scope in ("within_class", "all_pairs"):
-                got = classify_nearest_line(train, labels, q, scope)
-                want = exhaustive_nearest_line(train, labels, q, scope)
-                assert got == want
+            assert classify_nearest_line(train, labels, q) == exhaustive_nearest_line(train, labels, q)
 
     def test_no_valid_pairs_rejected(self):
         train = np.array([[0.0], [1.0], [2.0]])
@@ -213,12 +197,6 @@ class TestClassifyNearestLine:
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
                 k_nearest_neighbors(rows, 2)
 
-    def test_all_pairs_uses_nearer_endpoint_label(self):
-        train = np.array([[0.0, 0.0], [10.0, 0.0]])
-        labels = np.array([3, 8])
-        assert classify_nearest_line(train, labels, np.array([1.0, 1.0]), "all_pairs") == 3
-        assert classify_nearest_line(train, labels, np.array([9.0, 1.0]), "all_pairs") == 8
-
 
 def _oracle_is_decided(dists, keys, outcomes) -> bool:
     """True when last-bit rounding cannot change the oracle's answer: every
@@ -235,19 +213,17 @@ def _1nn_is_decided(train, labels, q) -> bool:
     return _oracle_is_decided(dists, [row.tobytes() for row in train], list(labels))
 
 
-def _nearest_line_is_decided(train, labels, q, scope) -> bool:
+def _nearest_line_is_decided(train, labels, q) -> bool:
     dists, keys, outcomes = [], [], []
     for j, k in itertools.combinations(range(len(train)), 2):
-        if scope == "within_class" and labels[j] != labels[k]:
+        if labels[j] != labels[k]:
             continue
         try:
             dists.append(point_line_sqdist(q, train[j], train[k]))
         except DegenerateLineError:
             continue
         keys.append((train[j].tobytes(), train[k].tobytes()))
-        dj = float(np.sum((q - train[j]) ** 2))
-        dk = float(np.sum((q - train[k]) ** 2))
-        outcomes.append(int(labels[j] if scope == "within_class" or dj <= dk else labels[k]))
+        outcomes.append(int(labels[j]))
     return _oracle_is_decided(dists, keys, outcomes)
 
 
@@ -335,51 +311,51 @@ class TestBatchedClassifiers:
                 if _1nn_is_decided(train, labels, q):
                     assert got == exhaustive_1nn(train, labels, q)
 
-    @given(classify_problems(), st.sampled_from(["within_class", "all_pairs"]))
+    @given(classify_problems())
     @settings(deadline=None, max_examples=150)
-    def test_nearest_line_block_matches_single_queries_and_oracle(self, problem, scope):
+    def test_nearest_line_block_matches_single_queries_and_oracle(self, problem):
         train, labels, queries, budget, on_grid = problem
         with mock.patch.object(geometry, "BLOCK_ELEMENTS", budget):
             try:
-                block = classify_nearest_line(train, labels, queries, scope)
+                block = classify_nearest_line(train, labels, queries)
             except ValueError:
                 # no candidate pair, or only degenerate ones: every query fails alike
                 for q in queries:
                     with pytest.raises(ValueError):
-                        classify_nearest_line(train, labels, q, scope)
+                        classify_nearest_line(train, labels, q)
                 if on_grid:
                     with pytest.raises(ValueError):
-                        exhaustive_nearest_line(train, labels, queries[0], scope)
+                        exhaustive_nearest_line(train, labels, queries[0])
                 return
-            singles = [classify_nearest_line(train, labels, q, scope) for q in queries]
+            singles = [classify_nearest_line(train, labels, q) for q in queries]
         assert all(type(s) is int for s in singles)
         assert block.shape == (len(queries),) and np.issubdtype(block.dtype, np.integer)
         assert block.tolist() == singles
         if on_grid:
             for q, got in zip(queries, singles):
-                if _nearest_line_is_decided(train, labels, q, scope):
-                    assert got == exhaustive_nearest_line(train, labels, q, scope)
+                if _nearest_line_is_decided(train, labels, q):
+                    assert got == exhaustive_nearest_line(train, labels, q)
 
-    @given(classify_problems(), st.sampled_from(["within_class", "all_pairs"]))
+    @given(classify_problems())
     @settings(deadline=None, max_examples=150)
-    def test_nearest_line_pair_blocks_match_one_block(self, problem, scope):
+    def test_nearest_line_pair_blocks_match_one_block(self, problem):
         # with a budget below d' every pair is its own block, so exact ties
         # between duplicated rows fall across block edges
         train, labels, queries, budget, _ = problem
         try:
-            whole = classify_nearest_line(train, labels, queries, scope)
+            whole = classify_nearest_line(train, labels, queries)
         except ValueError:
             return
         with mock.patch.object(geometry, "BLOCK_ELEMENTS", budget):
-            blocked = classify_nearest_line(train, labels, queries, scope)
+            blocked = classify_nearest_line(train, labels, queries)
         assert blocked.tolist() == whole.tolist()
 
-    @given(labels_lists, st.sampled_from(["within_class", "all_pairs"]))
+    @given(labels_lists)
     @settings(deadline=None, max_examples=150)
-    def test_candidate_pairs_match_per_class_enumeration(self, labels, scope):
+    def test_candidate_pairs_match_per_class_enumeration(self, labels):
         labels = np.array(labels, dtype=np.int64)
-        got = evaluate._candidate_pairs(labels, scope)
-        want = triu_candidate_pairs(labels, scope)
+        got = evaluate._candidate_pairs(labels)
+        want = triu_candidate_pairs(labels)
         assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_candidate_pairs_memory_is_linear_in_pairs(self):
@@ -388,14 +364,14 @@ class TestBatchedClassifiers:
         labels = np.random.default_rng(5).permutation(np.repeat(np.arange(1000), 5))
         tracemalloc.start()
         try:
-            pairs = evaluate._candidate_pairs(labels, "within_class")
+            pairs = evaluate._candidate_pairs(labels)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert pairs.shape == (10_000, 2)
         assert peak < 2**20
 
-    @given(cancelling_problems(), st.sampled_from(["within_class", "all_pairs", "nn"]))
+    @given(cancelling_problems(), st.sampled_from(["nearest_line", "nn"]))
     @settings(deadline=None, max_examples=450)
     def test_screen_matches_direct_scoring_where_it_cancels(self, problem, classifier):
         train, labels, queries, budget = problem
@@ -408,7 +384,7 @@ class TestBatchedClassifiers:
                 return
         assert got.tolist() == direct_classify(train, labels, queries, classifier, budget).tolist()
 
-    @given(exact_problems(), st.sampled_from(["within_class", "all_pairs", "nn"]))
+    @given(exact_problems(), st.sampled_from(["nearest_line", "nn"]))
     @settings(deadline=None, max_examples=225)
     def test_exact_screens_need_no_slack(self, problem, classifier):
         # the screen's minimum equals every exactly tied candidate's
@@ -424,16 +400,16 @@ class TestBatchedClassifiers:
         assert got.tolist() == direct_classify(train, labels, queries, classifier, budget).tolist()
 
     def test_exact_ties_follow_the_documented_order(self):
-        # rows 0 and 1 coincide, so lines (0, 2) and (1, 2) tie exactly;
-        # the smaller pair's nearer endpoint is row 0, labelled 4
-        train = np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 0.0]])
-        labels = np.array([4, 5, 6])
-        queries = np.array([[1.0, 1.0], [1.0, -1.0]])
-        assert classify_nearest_line(train, labels, queries, "all_pairs").tolist() == [4, 4]
-        assert classify_1nn(train, labels, queries).tolist() == [4, 4]
-        # a query equidistant from both endpoints takes the first one's label
-        equidistant = np.array([[2.0, 1.0], [2.0, -3.0]])
-        assert classify_nearest_line(train, labels, equidistant, "all_pairs").tolist() == [4, 4]
+        # class 5's line y = 1 and class 4's line y = -1 are both exactly 1
+        # from the query; the lexicographically smaller pair, (0, 1), wins
+        train = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, -1.0], [1.0, -1.0]])
+        labels = np.array([5, 5, 4, 4])
+        queries = np.array([[0.5, 0.0], [-3.0, 0.0]])
+        assert classify_nearest_line(train, labels, queries).tolist() == [5, 5]
+        assert classify_nearest_line(train, labels, queries[0]) == 5
+        # all four rows are equidistant from the first query and rows 0 and 2
+        # from the second; the smaller index wins
+        assert classify_1nn(train, labels, queries).tolist() == [5, 5]
 
     def test_empty_query_block_gives_no_labels(self):
         train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
@@ -468,15 +444,16 @@ class TestBatchedClassifiers:
         assert peak < 8 * 2**20
 
     def test_all_pairs_memory_is_bounded(self):
-        # 600 rows give 179 700 candidate lines; holding them all at once
-        # peaked at 170 MiB, the pair blocks keep each temporary at 0.5 MB
+        # 600 rows in 2 classes give 89 700 candidate lines; one (queries x
+        # lines x d') residual for them all would take 274 MiB, the pair
+        # blocks keep each temporary at 0.5 MB
         rng = np.random.default_rng(1)
         train = rng.normal(size=(600, 20))
-        labels = rng.integers(0, 30, size=600)
+        labels = rng.permutation(np.repeat([0, 1], 300))
         queries = rng.normal(size=(20, 20))
         tracemalloc.start()
         try:
-            preds = classify_nearest_line(train, labels, queries, "all_pairs")
+            preds = classify_nearest_line(train, labels, queries)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -620,5 +597,10 @@ class TestRunExperiments:
     def test_failing_config_reports_repeat(self):
         ds = gaussian_blobs(n_per_class=4, n_classes=2, d=10, seed=7)
         split = SplitSpec(train_fraction=0.5, seed=3, repeats=2)
-        with pytest.raises(ExperimentError, match="repeat 0"):
+        with pytest.raises(ExperimentError, match="^repeat 0, pca d'=6 failed: d_prime"):
             run_experiments(ds, [BaselineConfig("pca", 2), BaselineConfig("pca", 6)], split)
+        # LPP collapses on this rank-7 data, projecting every within-class
+        # pair to nearly one point, so its classify step is the one that fails
+        configs = [TrainConfig(K=3, d_prime=2), BaselineConfig("pca", 2), BaselineConfig("lpp", 2, K=3)]
+        with pytest.raises(ExperimentError, match="^repeat 0, lpp d'=2 failed: .*degenerate"):
+            run_experiments(manifold_classes(**self.DATA), configs, self.SPLIT, "nearest_line")

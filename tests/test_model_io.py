@@ -33,7 +33,7 @@ configs = st.one_of(
               max_iters=st.integers(0, 60), rel_tol=st.floats(0.0, 1.0),
               eigen_order=st.sampled_from(["smallest", "largest"]), init=st.sampled_from(["pca", "identity"])),
     st.builds(BaselineConfig, method=st.sampled_from(["pca", "lpp"]), d_prime=st.integers(1, 9),
-              K=st.integers(1, 9), heat_sigma=st.one_of(st.just("auto"), st.floats(1e-300, 1e300))),
+              K=st.integers(1, 9)),
 )
 
 
@@ -181,7 +181,7 @@ class TestConfigDicts:
         [
             TrainConfig(K=5, d_prime=10, max_iters=30, rel_tol=1e-7, eigen_order="largest", init="identity"),
             BaselineConfig("pca", 7),
-            BaselineConfig("lpp", 4, K=9, heat_sigma=0.5),
+            BaselineConfig("lpp", 4, K=9),
         ],
     )
     def test_round_trip(self, config):
@@ -191,12 +191,14 @@ class TestConfigDicts:
         nlp = config_to_dict(TrainConfig(K=5, d_prime=3))
         assert nlp == {"method": "nlp", "K": 5, "d_prime": 3, "max_iters": 50, "rel_tol": 1e-6,
                        "eigen_order": "smallest", "init": "pca"}
-        assert config_to_dict(BaselineConfig("lpp", 4)) == {"method": "lpp", "d_prime": 4, "K": 5,
-                                                            "heat_sigma": "auto"}
+        assert config_to_dict(BaselineConfig("lpp", 4)) == {"method": "lpp", "d_prime": 4, "K": 5}
 
     def test_unknown_keys_ignored(self):
         payload = {**config_to_dict(TrainConfig(K=4, d_prime=2)), "seed": 3, "center": True, "extra": 1}
         assert config_from_dict(payload) == TrainConfig(K=4, d_prime=2)
+        # older lpp files carry the heat-kernel width, which is always "auto" now
+        lpp = {**config_to_dict(BaselineConfig("lpp", 3, K=4)), "heat_sigma": 0.5}
+        assert config_from_dict(lpp) == BaselineConfig("lpp", 3, K=4)
 
     def test_baseline_may_omit_k_and_heat_sigma(self):
         assert config_from_dict({"method": "lpp", "d_prime": 3}) == BaselineConfig("lpp", 3)
