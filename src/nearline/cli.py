@@ -17,7 +17,7 @@ from nearline.baselines import BaselineConfig
 from nearline.data import SplitSpec, load_csv, load_pgm_dir
 from nearline.evaluate import ExperimentError, fit_method, run_experiment, run_experiments
 from nearline.model_io import atomic_write_text, load_model, save_model, save_report
-from nearline.nlp import EIGEN_ORDERS, INITS, TrainConfig, project
+from nearline.nlp import TrainConfig, project
 
 log = logging.getLogger(__name__)
 
@@ -52,8 +52,6 @@ class RunSpec:
     dims: tuple[int, ...]
     max_iters: int
     tol: float
-    eigen_order: str
-    init: str
     train_frac: float | None
     repeats: int
     seed: int
@@ -77,7 +75,6 @@ class RunSpec:
         if self.dims:
             flags += ["--dims", ",".join(str(v) for v in self.dims)]
         flags += ["--max-iters", str(self.max_iters), "--tol", repr(self.tol)]
-        flags += ["--eigen-order", self.eigen_order, "--init", self.init]
         if self.train_frac is not None:
             flags += ["--train-frac", repr(self.train_frac)]
         flags += ["--repeats", str(self.repeats), "--seed", str(self.seed)]
@@ -122,8 +119,6 @@ def _build_parser() -> _Parser:
     shared.add_argument("--dims", type=_csv_int_list, default=())
     shared.add_argument("--max-iters", dest="max_iters", type=int, default=TrainConfig.max_iters)
     shared.add_argument("--tol", type=float, default=TrainConfig.rel_tol)
-    shared.add_argument("--eigen-order", dest="eigen_order", choices=EIGEN_ORDERS, default=TrainConfig.eigen_order)
-    shared.add_argument("--init", choices=INITS, default=TrainConfig.init)
     shared.add_argument("--train-frac", dest="train_frac", type=float, default=None)
     shared.add_argument("--repeats", type=int, default=SplitSpec.repeats)
     shared.add_argument("--seed", type=int, default=0)
@@ -178,14 +173,7 @@ def _load_dataset(spec: RunSpec):
 
 def _method_config(spec: RunSpec, method: str, d_prime: int):
     if method == "nlp":
-        return TrainConfig(
-            K=spec.k,
-            d_prime=d_prime,
-            max_iters=spec.max_iters,
-            rel_tol=spec.tol,
-            eigen_order=spec.eigen_order,
-            init=spec.init,
-        )
+        return TrainConfig(K=spec.k, d_prime=d_prime, max_iters=spec.max_iters, rel_tol=spec.tol)
     if method == "pca":
         return BaselineConfig(method="pca", d_prime=d_prime)
     return BaselineConfig(method="lpp", d_prime=d_prime, K=spec.k)

@@ -242,6 +242,7 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
 
     Returns the pixel grid as a (height, width) integer array together with
     the file's maxval.  Header comments (``#`` to end of line) are skipped.
+    A sample outside ``[0, maxval]`` raises ``DataFormatError``.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -275,9 +276,13 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
             f"{path}: corrupt PGM header: width={width} height={height} maxval={maxval}"
         )
     count = width * height
+    out_of_range = f"{path}: sample value outside [0, maxval {maxval}]"
     if magic == "P2":
         values = _read_pgm_tokens(data, path, count, pos)
-        pixels = np.array(values, dtype=np.int64)
+        try:
+            pixels = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise DataFormatError(out_of_range) from None
     else:
         pos += 1  # single whitespace byte after maxval
         bytes_per = 1 if maxval < 256 else 2
@@ -287,8 +292,8 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
             raise DataFormatError(f"{path}: expected {need} raster bytes, found {len(raster)}")
         dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
         pixels = np.frombuffer(raster, dtype=dtype).astype(np.int64)
-    if pixels.max(initial=0) > maxval:
-        raise DataFormatError(f"{path}: sample value exceeds maxval {maxval}")
+    if pixels.min(initial=0) < 0 or pixels.max(initial=0) > maxval:
+        raise DataFormatError(out_of_range)
     return pixels.reshape(height, width), maxval
 
 

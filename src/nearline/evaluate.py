@@ -51,19 +51,29 @@ def _query_block(T: np.ndarray, query) -> tuple[np.ndarray, bool]:
     raise ValueError(f"query has shape {q.shape}, expected ({d},) or (q, {d})")
 
 
+def _train_labels(T: np.ndarray, train_labels) -> np.ndarray:
+    """The training labels as an array, one per training row."""
+    labels = np.asarray(train_labels)
+    if len(labels) != T.shape[0]:
+        raise ValueError(f"train_labels has {len(labels)} entries for {T.shape[0]} training rows")
+    return labels
+
+
 def classify_1nn(train_projected: np.ndarray, train_labels: np.ndarray, query) -> int | np.ndarray:
     """Label of the training point nearest to the query (squared distance,
     ties to the smaller training index).
 
     A 1-D query returns an ``int``; a 2-D block with one query per row
     returns an int array.  Exact (``geometry.nearest_rows``); non-finite rows
-    or queries raise ``ValueError``.
+    or queries, and a label count other than the row count, raise
+    ``ValueError``.
     """
     T = np.asarray(train_projected, dtype=float)
     if T.shape[0] == 0:
         raise ValueError("empty training set")
+    labels = _train_labels(T, train_labels)
     Q, single = _query_block(T, query)
-    pred = np.asarray(train_labels)[nearest_rows(T, Q)[:, 0]].astype(int)
+    pred = labels[nearest_rows(T, Q)[:, 0]].astype(int)
     return int(pred[0]) if single else pred
 
 
@@ -127,7 +137,8 @@ def classify_nearest_line(train_projected: np.ndarray, train_labels: np.ndarray,
     Only pairs sharing a class are candidate lines.  Degenerate pairs are
     never chosen (their distance counts as infinite); ties go to the
     lexicographically smaller pair.  A 1-D query returns an ``int``; a 2-D
-    block with one query per row returns an int array.
+    block with one query per row returns an int array.  A label count other
+    than the row count raises ``ValueError``.
 
     Exact: ``geometry.nearest_candidates`` screens the lines with
     ``_line_screens`` and rescores the lines it keeps with
@@ -135,7 +146,7 @@ def classify_nearest_line(train_projected: np.ndarray, train_labels: np.ndarray,
     pair order, the same line as scoring every pair with the direct form.
     """
     T = np.asarray(train_projected, dtype=float)
-    labels = np.asarray(train_labels)
+    labels = _train_labels(T, train_labels)
     Q, single = _query_block(T, query)
     pairs = _candidate_pairs(labels)
     if pairs.shape[0] == 0:

@@ -50,9 +50,10 @@ def config_to_dict(config) -> dict:
 
 def config_from_dict(payload: dict):
     """The config a ``config_to_dict`` payload describes.  Keys that are not
-    fields of its class (``method`` of nlp, or ``center``, ``seed`` and
-    ``heat_sigma`` in older files) are ignored; a missing field is an error,
-    except that a baseline's ``K`` takes its default."""
+    fields of its class (``method`` of nlp, or ``center``, ``seed``,
+    ``heat_sigma``, ``eigen_order`` and ``init`` in older files) are ignored;
+    a missing field is an error, except that a baseline's ``K`` takes its
+    default."""
     method = payload.get("method")
     if method not in ("nlp", "pca", "lpp"):
         raise ValueError(f"unknown method in model file: {method!r}")

@@ -4,8 +4,8 @@ Learns a linear projection W whose columns are eigenvectors of a scatter
 operator built from point-to-neighbor-line residuals.  Training alternates
 two steps: assemble the scatter operator for the current W (the line
 coefficients depend on the projected coordinates), then replace W by the
-eigenvectors at the extreme end of the spectrum.  The neighbor/line index is
-built once, from input-space distances, and never rebuilt.
+eigenvectors of the operator's smallest eigenvalues.  The neighbor/line
+index is built once, from input-space distances, and never rebuilt.
 
 Every residual is a combination of differences of training rows, so the
 scatter operator lives in the span of the centered training data, of rank
@@ -36,9 +36,6 @@ log = logging.getLogger(__name__)
 # the projection does not collapse onto pure noise directions.
 TRIVIAL_EIGENVALUE_RTOL = 1e-10
 
-EIGEN_ORDERS = ("smallest", "largest")
-INITS = ("pca", "identity")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -48,8 +45,6 @@ class TrainConfig:
     d_prime: int
     max_iters: int = 50
     rel_tol: float = 1e-6
-    eigen_order: str = "smallest"
-    init: str = "pca"
 
     def __post_init__(self):
         if self.K < 2:
@@ -58,12 +53,8 @@ class TrainConfig:
             raise ValueError(f"d_prime must be >= 1, got {self.d_prime}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
-        if self.eigen_order not in EIGEN_ORDERS:
-            raise ValueError(f"eigen_order must be one of {EIGEN_ORDERS}, got {self.eigen_order!r}")
-        if self.init not in INITS:
-            raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
+        if not self.rel_tol >= 0:  # also rejects NaN, which would never converge
+            raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -255,14 +246,13 @@ def objective(dataset, index: NeighborLineIndex, W: np.ndarray) -> float:
     return _objective_of(ok, rho)
 
 
-def eigen_step(L: np.ndarray, d_prime: int, order: str = "smallest") -> np.ndarray:
-    """Projection update: eigenvectors of L at the chosen end of the spectrum.
+def eigen_step(L: np.ndarray, d_prime: int) -> np.ndarray:
+    """Projection update: the eigenvectors of L's d_prime smallest
+    eigenvalues, which minimize the trace objective.
 
-    ``smallest`` (the default) minimizes the trace objective.  Near-null
-    eigenvalues, smaller in magnitude than a 1e-10 fraction of the mean
-    eigenvalue, are ranked after all others so the update prefers directions
-    the residuals actually span.  ``largest`` ranks the spectrum in
-    descending order instead, kept for ablation runs.
+    Near-null eigenvalues, smaller in magnitude than a 1e-10 fraction of the
+    mean eigenvalue, are ranked after all others so the update prefers
+    directions the residuals actually span.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -270,17 +260,12 @@ def eigen_step(L: np.ndarray, d_prime: int, order: str = "smallest") -> np.ndarr
     d = L.shape[0]
     if not 1 <= d_prime <= d:
         raise ValueError(f"d_prime must be in [1, {d}], got {d_prime}")
-    if order not in EIGEN_ORDERS:
-        raise ValueError(f"order must be one of {EIGEN_ORDERS}, got {order!r}")
     vals, vecs = sym_eigh(L)
-    if order == "largest":
-        idx = np.arange(d)[::-1]
-    else:
-        threshold = TRIVIAL_EIGENVALUE_RTOL * np.trace(L) / d
-        trivial = np.abs(vals) < threshold
-        if trivial.any():
-            log.debug("deprioritized %d near-null eigenvalues (|lambda| < %.3e)", int(trivial.sum()), threshold)
-        idx = np.concatenate([np.flatnonzero(~trivial), np.flatnonzero(trivial)])
+    threshold = TRIVIAL_EIGENVALUE_RTOL * np.trace(L) / d
+    trivial = np.abs(vals) < threshold
+    if trivial.any():
+        log.debug("deprioritized %d near-null eigenvalues (|lambda| < %.3e)", int(trivial.sum()), threshold)
+    idx = np.concatenate([np.flatnonzero(~trivial), np.flatnonzero(trivial)])
     W = vecs[:, idx[:d_prime]]
     return orient_columns(W)
 
@@ -289,9 +274,9 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     """Fit the nearest-line projection.
 
     A plain dataset is wrapped in a ``TrainingSplit``, which centers it; the
-    row-space basis ``V_r``, the PCA initialization and the neighbor/line
-    index (from input-space distances) are read from the split.  The loop
-    runs on ``Z = X V_r``, where ``X W`` equals ``Z (V_r^T W)``: each
+    row-space basis ``V_r``, the principal basis the loop starts from and the
+    neighbor/line index (from input-space distances) are read from the split.
+    The loop runs on ``Z = X V_r``, where ``X W`` equals ``Z (V_r^T W)``: each
     iteration assembles the r x r scatter operator under the current
     projection, replaces the projection through the eigen step, and records
     the objective of the new one.  One line pass per projection gives both
@@ -313,10 +298,7 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     V = split.row_space
     Z = split.features @ V
     r = V.shape[1]
-    if config.init == "pca":
-        W = split.principal_basis(config.d_prime)
-    else:
-        W = np.eye(d, config.d_prime)
+    W = split.principal_basis(config.d_prime)
     W_z = V.T @ W
 
     triples = split.neighbor_lines(config.K).flat_triples()
@@ -342,7 +324,7 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     for t in range(1, config.max_iters + 1):
         L = _scatter_of(Z, triples, alpha, ok)
         trace_old = float(np.trace(W_z.T @ L @ W_z))
-        W_z = eigen_step(L, min(config.d_prime, r), config.eigen_order)
+        W_z = eigen_step(L, min(config.d_prime, r))
         trace_new = float(np.trace(W_z.T @ L @ W_z))
         step_traces.append((trace_old, trace_new))
 

@@ -86,7 +86,7 @@ def test_c04_eigen_step_beats_random_subspaces():
     for _ in range(20):
         M = rng.normal(size=(20, 20))
         L = (M + M.T) / 2.0
-        W = eigen_step(L, 5, "smallest")
+        W = eigen_step(L, 5)
         selected = float(np.trace(W.T @ L @ W))
         for _ in range(100):
             Q, _ = np.linalg.qr(rng.normal(size=(20, 5)))

@@ -62,12 +62,11 @@ class TestRunSpecRoundTrip:
         # flag reaches fails here
         spec = RunSpec.from_argv([
             "evaluate", "--data", "x.csv", "--out", "r.json", "--k", "7", "--dim", "3",
-            "--max-iters", "9", "--tol", "0.25", "--eigen-order", "largest", "--init", "identity",
+            "--max-iters", "9", "--tol", "0.25",
             "--train-frac", "0.3", "--repeats", "4", "--seed", "11",
         ])
         want = {
-            TrainConfig: {"K": 7, "d_prime": 3, "max_iters": 9, "rel_tol": 0.25,
-                          "eigen_order": "largest", "init": "identity"},
+            TrainConfig: {"K": 7, "d_prime": 3, "max_iters": 9, "rel_tol": 0.25},
             BaselineConfig: {"method": "lpp", "d_prime": 3, "K": 7},
             SplitSpec: {"train_fraction": 0.3, "seed": 11, "repeats": 4},
         }

@@ -257,6 +257,13 @@ class TestPgm:
         assert maxval == 65535
         assert grid.reshape(-1).tolist() == [0, 1000, 40000, 65000]
 
+    @pytest.mark.parametrize("samples", ["-3 4 5 6", "3 4 5 256", "3 4 5 99999999999999999999"])
+    def test_ascii_sample_outside_range_rejected(self, tmp_path, samples):
+        bad = tmp_path / "bad.pgm"
+        bad.write_text(f"P2\n2 2 255\n{samples}\n")
+        with pytest.raises(DataFormatError, match=r"sample value outside \[0, maxval 255\]"):
+            load_pgm(bad)
+
 
 class TestCenter:
     """Centering of training rows, done in one place: ``nlp.TrainingSplit``."""

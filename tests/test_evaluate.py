@@ -427,6 +427,16 @@ class TestBatchedClassifiers:
             with pytest.raises(ValueError, match="query has shape"):
                 classify_nearest_line(train, labels, bad)
 
+    def test_label_count_must_match_training_rows(self):
+        # too long, 1-NN used to return labels of rows that do not exist;
+        # too short, the nearest-line rule never saw the last row
+        train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [1.0, 3.0]])
+        queries = np.array([[0.5, 0.1], [0.5, 2.9]])
+        for labels in (np.array([0, 0, 1, 1, 2, 2]), np.array([0, 0, 1])):
+            for classify in (classify_1nn, classify_nearest_line):
+                with pytest.raises(ValueError, match=f"train_labels has {labels.size} entries for 4 training rows"):
+                    classify(train, labels, queries)
+
     def test_nearest_line_memory_is_bounded(self):
         # 2000 queries x 400 within-class lines x 20 dims would be 128 MB
         # per temporary unchunked; the chunks keep each one at 0.5 MB

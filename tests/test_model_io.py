@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -30,8 +31,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3, float("nan
 floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(EDGE_FLOATS))
 configs = st.one_of(
     st.builds(TrainConfig, K=st.integers(2, 9), d_prime=st.integers(1, 9),
-              max_iters=st.integers(0, 60), rel_tol=st.floats(0.0, 1.0),
-              eigen_order=st.sampled_from(["smallest", "largest"]), init=st.sampled_from(["pca", "identity"])),
+              max_iters=st.integers(0, 60), rel_tol=st.floats(0.0, 1.0)),
     st.builds(BaselineConfig, method=st.sampled_from(["pca", "lpp"]), d_prime=st.integers(1, 9),
               K=st.integers(1, 9)),
 )
@@ -85,7 +85,7 @@ class TestModelFile:
 
     def test_round_trip(self, tmp_path):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=2)
-        cfg = TrainConfig(K=3, d_prime=2, max_iters=20, rel_tol=1e-5, init="identity")
+        cfg = TrainConfig(K=3, d_prime=2, max_iters=20, rel_tol=1e-5)
         model = train(ds, cfg)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -130,7 +130,7 @@ class TestModelFile:
         [
             (lambda payload: payload.pop("d_prime"), r"lacks the keys \['d_prime'\]"),
             (lambda payload: payload["train_config"].pop("K"), r"train_config lacks the keys \['K'\]"),
-            (lambda payload: payload["train_config"].pop("init"), r"train_config lacks the keys \['init'\]"),
+            (lambda payload: payload["train_config"].pop("max_iters"), r"train_config lacks the keys \['max_iters'\]"),
             (lambda payload: payload.update(train_config=[]), "malformed model file"),
             (lambda payload: payload.update(objective_trace=5), "malformed model file"),
             (lambda payload: payload.update(projection_columns=5), "malformed model file"),
@@ -179,7 +179,7 @@ class TestConfigDicts:
     @pytest.mark.parametrize(
         "config",
         [
-            TrainConfig(K=5, d_prime=10, max_iters=30, rel_tol=1e-7, eigen_order="largest", init="identity"),
+            TrainConfig(K=5, d_prime=10, max_iters=30, rel_tol=1e-7),
             BaselineConfig("pca", 7),
             BaselineConfig("lpp", 4, K=9),
         ],
@@ -189,8 +189,7 @@ class TestConfigDicts:
 
     def test_json_keys_are_the_fields(self):
         nlp = config_to_dict(TrainConfig(K=5, d_prime=3))
-        assert nlp == {"method": "nlp", "K": 5, "d_prime": 3, "max_iters": 50, "rel_tol": 1e-6,
-                       "eigen_order": "smallest", "init": "pca"}
+        assert nlp == {"method": "nlp", "K": 5, "d_prime": 3, "max_iters": 50, "rel_tol": 1e-6}
         assert config_to_dict(BaselineConfig("lpp", 4)) == {"method": "lpp", "d_prime": 4, "K": 5}
 
     def test_unknown_keys_ignored(self):
@@ -199,6 +198,13 @@ class TestConfigDicts:
         # older lpp files carry the heat-kernel width, which is always "auto" now
         lpp = {**config_to_dict(BaselineConfig("lpp", 3, K=4)), "heat_sigma": 0.5}
         assert config_from_dict(lpp) == BaselineConfig("lpp", 3, K=4)
+        # older nlp files carry the eigen order and the initialization, which
+        # are always the smallest eigenvalues and the principal basis now
+        old_nlp = {"method": "nlp", "K": 4, "d_prime": 2, "max_iters": 30, "rel_tol": 1e-7,
+                   "eigen_order": "largest", "init": "identity"}
+        loaded = config_from_dict(old_nlp)
+        assert loaded == TrainConfig(K=4, d_prime=2, max_iters=30, rel_tol=1e-7)
+        assert [f.name for f in dataclasses.fields(loaded)] == ["K", "d_prime", "max_iters", "rel_tol"]
 
     def test_baseline_may_omit_k_and_heat_sigma(self):
         assert config_from_dict({"method": "lpp", "d_prime": 3}) == BaselineConfig("lpp", 3)

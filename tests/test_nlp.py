@@ -24,6 +24,7 @@ from nearline.geometry import (
 from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 from nearline.nlp import (
     TrainConfig,
+    TrainedModel,
     assemble_scatter,
     build_neighbor_lines,
     eigen_step,
@@ -268,12 +269,8 @@ class TestObjective:
 
 class TestEigenStep:
     def test_diagonal_smallest(self):
-        W = eigen_step(np.diag([3.0, 1.0]), 1, "smallest")
+        W = eigen_step(np.diag([3.0, 1.0]), 1)
         assert np.allclose(W, [[0.0], [1.0]], atol=1e-12)
-
-    def test_diagonal_largest(self):
-        W = eigen_step(np.diag([3.0, 1.0]), 1, "largest")
-        assert np.allclose(W, [[1.0], [0.0]], atol=1e-12)
 
     def test_identity_spectrum_contract(self):
         W = eigen_step(np.eye(4), 2)
@@ -292,7 +289,7 @@ class TestEigenStep:
 
     def test_near_null_eigenvalues_ranked_last(self):
         L = np.diag([0.0, 0.0, 1.0, 2.0])
-        W = eigen_step(L, 2, "smallest")
+        W = eigen_step(L, 2)
         assert float(np.trace(W.T @ L @ W)) == pytest.approx(3.0)
 
     def test_trace_equals_selected_eigenvalue_sum(self):
@@ -367,17 +364,12 @@ class TestTrain:
         assert a.objective_trace == b.objective_trace
         assert a.iterations_run == b.iterations_run
 
-    def test_identity_init_supported(self):
-        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=4)
-        model = train(ds, TrainConfig(K=3, d_prime=2, init="identity", max_iters=0))
-        assert np.array_equal(model.projection, np.eye(6)[:, :2])
-
     def test_identity_init_builds_no_d_by_d_matrix(self):
-        # np.eye(d) alone would take 128 MB at d = 4000
+        # any d x d matrix, np.eye(d) included, would take 128 MB at d = 4000
         ds = random_dataset(np.random.default_rng(14), 12, 4000)
         tracemalloc.start()
         try:
-            model = train(ds, TrainConfig(K=3, d_prime=4, init="identity", max_iters=2))
+            model = train(ds, TrainConfig(K=3, d_prime=4, max_iters=2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -389,8 +381,8 @@ class TestTrain:
             TrainConfig(K=1, d_prime=2)
         with pytest.raises(ValueError, match="d_prime must be >= 1"):
             TrainConfig(K=3, d_prime=0)
-        with pytest.raises(ValueError, match="eigen_order"):
-            TrainConfig(K=3, d_prime=2, eigen_order="biggest")
+        with pytest.raises(ValueError, match="rel_tol must be nonnegative"):
+            TrainConfig(K=3, d_prime=2, rel_tol=float("nan"))
         ds = gaussian_blobs(n_per_class=5, n_classes=2, d=4, seed=0)
         with pytest.raises(ValueError, match="K must be <="):
             train(ds, TrainConfig(K=10, d_prime=2))
@@ -497,8 +489,8 @@ class TestRowSpaceTraining:
 @st.composite
 def fit_problems(draw):
     """Small fits of any rank (0 included), with d < n and d > n, repeated
-    rows (so some lines are degenerate), d' above the rank, both inits, both
-    eigen orders and stopping on tolerance or on max_iters."""
+    rows (so some lines are degenerate), d' above the rank and stopping on
+    tolerance or on max_iters."""
     n = draw(st.integers(6, 14))
     d = draw(st.integers(1, 24))
     rank = draw(st.integers(0, min(n - 1, d)))
@@ -512,8 +504,6 @@ def fit_problems(draw):
         d_prime=draw(st.integers(1, d)),
         max_iters=draw(st.integers(0, 5)),
         rel_tol=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
-        eigen_order=draw(st.sampled_from(["smallest", "largest"])),
-        init=draw(st.sampled_from(["pca", "identity"])),
     )
     return Dataset(X, np.zeros(n, dtype=int)), config
 
@@ -525,10 +515,7 @@ def two_pass_train(ds, config):
     V = row_space(X)
     Z = X @ V
     r = V.shape[1]
-    if config.init == "pca":
-        W = orient_columns(complete_basis(V, config.d_prime))
-    else:
-        W = np.eye(ds.d)[:, : config.d_prime]
+    W = orient_columns(complete_basis(V, config.d_prime))
     W_z = V.T @ W
     index = build_neighbor_lines(X, config.K)
     previous = objective(Z, index, W_z)
@@ -539,7 +526,7 @@ def two_pass_train(ds, config):
     for t in range(1, config.max_iters + 1):
         L = assemble_scatter(Z, index, W_z)
         old = float(np.trace(W_z.T @ L @ W_z))
-        W_z = eigen_step(L, min(config.d_prime, r), config.eigen_order)
+        W_z = eigen_step(L, min(config.d_prime, r))
         steps.append((old, float(np.trace(W_z.T @ L @ W_z))))
         value = objective(Z, index, W_z)
         objectives.append(value)
@@ -646,8 +633,8 @@ class TestSingleLinePass:
 
 class TestProject:
     def test_identity_columns_select_coordinates(self):
-        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=6)
-        model = train(ds, TrainConfig(K=3, d_prime=3, init="identity", max_iters=0))
+        mean = np.linspace(-1.0, 1.5, 6)
+        model = TrainedModel(np.eye(6)[:, :3], mean, TrainConfig(K=3, d_prime=3), [0.0], 0, False)
         x = np.arange(6.0)
         assert np.array_equal(project(model, x), (x - model.mean_vector)[:3])
 
