@@ -45,10 +45,11 @@ class BaselineConfig:
 def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
     """Top principal directions of the centered data, deterministic signs.
 
-    The directions come from the split's row-space basis, one
-    eigendecomposition of its smaller Gram matrix (``linalg.row_space``),
-    the basis that nlp training starts from; past the rank of the data they
-    are completed with unit directions orthogonal to every training row.
+    The directions are the split's principal basis: only these ``d_prime``
+    columns are lifted from its one eigendecomposition of the smaller Gram
+    matrix (``linalg.gram_eigh``), the basis that nlp training starts from;
+    past the rank of the data they are completed with unit directions
+    orthogonal to every training row.
     """
     split = TrainingSplit.of(data)
     n, d = split.features.shape

@@ -1,6 +1,9 @@
-"""Shared numerical helpers: symmetric eigensolves, sign fixing, row-space bases."""
+"""Shared numerical helpers: symmetric eigensolves, sign fixing, row-space
+bases lifted from one Gram eigendecomposition as far as the caller reads."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,28 +42,52 @@ def sym_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(sym)
 
 
-def row_space(features: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of the rows of ``features``, which the
-    caller has already centered (``nlp.TrainingSplit.features``).
+@dataclass(frozen=True)
+class GramEigen:
+    """The eigendecomposition of the smaller Gram matrix of some rows, cut
+    to their rank r (``gram_eigh``); ``lift`` turns its top columns into
+    principal directions."""
 
-    One eigendecomposition of the smaller Gram matrix: ``X X^T`` (n x n)
+    rows: np.ndarray     # the rows, rescaled if squaring them would over- or underflow
+    values: np.ndarray   # the r kept eigenvalues lambda = S^2, decreasing
+    vectors: np.ndarray  # their eigenvectors U_r, one per column
+
+    @property
+    def rank(self) -> int:
+        return self.values.size
+
+    def lift(self, m: int) -> np.ndarray:
+        """The top m <= r principal directions (d x m), orthonormal and oriented.
+
+        When n <= d they are ``X^T U_m Lambda_m^(-1/2)``, else the
+        eigenvectors themselves.  The first form loses orthonormality as the
+        kept spectrum spreads, so when ``max |V^T V - I|`` exceeds
+        ``max(n, d) * eps`` one Cholesky-QR pass, ``V R^-1`` with
+        ``V^T V = R^T R``, restores it.  Only the m lifted columns are
+        formed, checked and passed over.
+        """
+        X = self.rows
+        n, d = X.shape
+        U = self.vectors[:, :m]
+        V = X.T @ (U / np.sqrt(self.values[:m])) if n <= d else np.array(U)
+        if m:
+            C = V.T @ V
+            if np.abs(C - np.eye(m)).max() > max(n, d) * np.finfo(float).eps:
+                V = V @ np.linalg.inv(np.linalg.cholesky(C).T)
+        return _orient_in_place(V)
+
+
+def gram_eigh(features: np.ndarray) -> GramEigen:
+    """One eigendecomposition of the smaller Gram matrix of rows the caller
+    has already centered (``nlp.TrainingSplit.features``): ``X X^T`` (n x n)
     when n <= d, else ``X^T X`` (d x d), eigenvalues ``lambda = S^2`` in
-    decreasing order.  Eigenvalues at or below ``lambda[0] * max(n, d) * eps``
-    are dropped, leaving rank r.  That is the thin SVD's rule applied to
-    lambda, and all a Gram matrix can resolve; in singular values it drops
-    ``S_i <= S[0] * sqrt(max(n, d) * eps)``, where a thin SVD of X could
-    keep everything above ``S[0] * max(n, d) * eps``.
+    decreasing order.
 
-    When n <= d the basis is ``X^T U_r Lambda_r^(-1/2)``, else the
-    eigenvectors themselves.  The first form loses orthonormality as the
-    kept spectrum spreads, so when ``max |V^T V - I|`` exceeds
-    ``max(n, d) * eps`` one Cholesky-QR pass, ``V R^-1`` with
-    ``V^T V = R^T R``, restores it.
-
-    Returns ``V_r`` (d x r): the principal directions in decreasing order of
-    variance, oriented.  Every row lies in the span of ``V_r`` up to the
-    dropped spectrum, so with ``Z = features @ V_r``, ``features @ (V_r @ B)``
-    equals ``Z @ B`` for any r-row matrix B.
+    Eigenvalues at or below ``lambda[0] * max(n, d) * eps`` are dropped,
+    leaving rank r.  That is the thin SVD's rule applied to lambda, and all a
+    Gram matrix can resolve; in singular values it drops
+    ``S_i <= S[0] * sqrt(max(n, d) * eps)``, where a thin SVD of X could keep
+    everything above ``S[0] * max(n, d) * eps``.
     """
     X = np.asarray(features, dtype=float)
     n, d = X.shape
@@ -69,17 +96,23 @@ def row_space(features: np.ndarray) -> np.ndarray:
     peak = max(X.max(initial=0.0), -X.min(initial=0.0))
     if peak and not 1e-100 < peak < 1e100:
         X = X / peak
-    wide = n <= d
-    lam, U = sym_eigh(X @ X.T if wide else X.T @ X)
+    lam, U = sym_eigh(X @ X.T if n <= d else X.T @ X)
     lam, U = lam[::-1], U[:, ::-1]
-    tol = max(n, d) * np.finfo(float).eps
-    r = np.count_nonzero(lam > lam[0] * tol) if lam.size else 0
-    V = X.T @ (U[:, :r] / np.sqrt(lam[:r])) if wide else np.array(U[:, :r])
-    if r:
-        C = V.T @ V
-        if np.abs(C - np.eye(r)).max() > tol:
-            V = V @ np.linalg.inv(np.linalg.cholesky(C).T)
-    return _orient_in_place(V)
+    r = np.count_nonzero(lam > lam[0] * max(n, d) * np.finfo(float).eps) if lam.size else 0
+    return GramEigen(rows=X, values=lam[:r], vectors=U[:, :r])
+
+
+def row_space(features: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of the rows of ``features``, which the
+    caller has already centered: ``gram_eigh`` lifted in full.
+
+    Returns ``V_r`` (d x r): the principal directions in decreasing order of
+    variance, oriented.  Every row lies in the span of ``V_r`` up to the
+    dropped spectrum, so with ``Z = features @ V_r``, ``features @ (V_r @ B)``
+    equals ``Z @ B`` for any r-row matrix B.
+    """
+    gram = gram_eigh(features)
+    return gram.lift(gram.rank)
 
 
 def complete_basis(V: np.ndarray, k: int) -> np.ndarray:

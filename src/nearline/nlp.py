@@ -10,11 +10,11 @@ index is built once, from input-space distances, and never rebuilt.
 Every residual is a combination of differences of training rows, so the
 scatter operator lives in the span of the centered training data, of rank
 r <= n - 1.  Training therefore runs in that row space: one eigendecomposition
-of the split's smaller Gram matrix gives its basis V_r (``linalg.row_space``:
-a Cholesky-QR pass keeps V_r orthonormal, and singular values at or below
-``S[0] * sqrt(max(n, d) * eps)`` are dropped), the loop works on the n x r
-coordinates X V_r, and the learned update is lifted back to the input space
-once, at the end.  No d x d matrix is built.
+of the split's smaller Gram matrix, lifted in full, gives its basis V_r
+(``linalg.row_space``: a Cholesky-QR pass keeps V_r orthonormal, and singular
+values at or below ``S[0] * sqrt(max(n, d) * eps)`` are dropped), the loop
+works on the n x r coordinates X V_r, and the learned update is lifted back
+to the input space once, at the end.  No d x d matrix is built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from nearline.data import Dataset
 from nearline.geometry import blocks, nearest_rows, project_onto_lines
-from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
+from nearline.linalg import GramEigen, complete_basis, gram_eigh, orient_columns, sym_eigh
 
 log = logging.getLogger(__name__)
 
@@ -136,9 +136,11 @@ def build_neighbor_lines(dataset, K: int) -> NeighborLineIndex:
 class TrainingSplit:
     """A training set centered once, the package's only centering step:
     ``mean_vector`` is the column mean of the rows and ``features`` the
-    read-only rows minus it.  The row-space basis (one Gram-matrix
-    eigendecomposition, ``linalg.row_space``) and the neighbor/line index
-    per K are computed on first use and shared by every fit on the split."""
+    read-only rows minus it.  One eigendecomposition of its smaller Gram
+    matrix (``linalg.gram_eigh``), the row-space basis lifted from all of
+    it and the neighbor/line index per K are computed on first use and
+    shared by every fit on the split; a principal basis lifts only the
+    columns it returns."""
 
     def __init__(self, dataset: Dataset):
         self.mean_vector = dataset.features.mean(axis=0)
@@ -152,13 +154,19 @@ class TrainingSplit:
         return data if isinstance(data, cls) else cls(data)
 
     @functools.cached_property
+    def gram(self) -> GramEigen:
+        return gram_eigh(self.features)
+
+    @functools.cached_property
     def row_space(self) -> np.ndarray:
-        return row_space(self.features)  # V_r, see linalg.row_space
+        return self.gram.lift(self.gram.rank)  # V_r, see linalg.row_space
 
     def principal_basis(self, k: int) -> np.ndarray:
-        """The top k principal directions (d x k), oriented; past the rank r,
-        deterministic unit directions orthogonal to every training row."""
-        return orient_columns(complete_basis(self.row_space, k))
+        """The top k principal directions (d x k), oriented, lifted from the
+        split's Gram eigendecomposition without forming the other columns of
+        ``row_space``; past the rank r, deterministic unit directions
+        orthogonal to every training row."""
+        return orient_columns(complete_basis(self.gram.lift(min(k, self.gram.rank)), k))
 
     def neighbor_lines(self, K: int) -> NeighborLineIndex:
         if K not in self._neighbor_lines:

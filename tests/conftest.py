@@ -18,10 +18,11 @@ def centered(ds):
 
 @pytest.fixture()
 def split_work_spies():
-    """Spies counting the row-space bases (one Gram eigendecomposition each)
-    and the neighbor searches a test runs."""
+    """Spies counting the Gram eigendecompositions (one per training split,
+    shared by its row-space and principal bases) and the neighbor searches a
+    test runs."""
     nlp = nearline.nlp
-    with mock.patch.object(nlp, "row_space", wraps=nlp.row_space) as rs, \
+    with mock.patch.object(nlp, "gram_eigh", wraps=nlp.gram_eigh) as rs, \
             mock.patch.object(nlp, "k_nearest_neighbors", wraps=nlp.k_nearest_neighbors) as knn:
         yield rs, knn
 

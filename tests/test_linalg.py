@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nearline.data import Dataset
 from nearline.linalg import orient_columns, row_space
+from nearline.nlp import TrainingSplit
 
 EPS = np.finfo(float).eps
 
@@ -181,3 +183,67 @@ class TestRowSpace:
             tracemalloc.stop()
         assert V.shape == (2576, 200)
         assert peak < 10 * 2**20
+
+
+def principal_split(X):
+    """A training split of the rows of X, all of one class."""
+    return TrainingSplit(Dataset(X, np.zeros(X.shape[0], dtype=int)))
+
+
+class TestPrincipalBasis:
+    @given(row_space_inputs(), st.integers(1, 24))
+    @example(log_spectrum(12, 30, 1e-5), 11)
+    @example(log_spectrum(30, 12, 1e-6), 11)
+    @settings(deadline=None, max_examples=300)
+    def test_top_columns_of_the_row_space(self, X, k):
+        """Both bases are lifted from the same computed eigenpairs
+        ``(lambda_i, u_i)``, i < k.  In exact arithmetic each spans the range
+        of ``Y = X^T U_k Lambda_k^(-1/2)`` (n <= d): a Cholesky-QR pass
+        multiplies by an upper-triangular matrix, which keeps the span of
+        every leading set of columns.  Rounding in the product moves column i
+        of Y by at most ``gamma_n ||X||_F / sqrt(lambda_i)``
+        (``|fl(AB) - AB| <= gamma_n |A||B|``), so each computed basis lies
+        within ``e = gamma_n ||X||_F (sum_i 1 / lambda_i)^(1/2)`` of range(Y),
+        relative to ``s``, the smallest singular value of the lift; the pass,
+        the orientation and the residual below add O(k eps).  The sine of the
+        largest principal angle between the two is therefore at most
+        ``2 (e / s + k eps)``.  When n > d both are the same slice of the
+        eigenvectors, and equal bit for bit.  Past the rank both complete
+        with the same unit directions, so only the lifted columns are
+        compared with the row space."""
+        n, d = X.shape
+        assume(n >= 2)
+        k = min(k, d)
+        split = principal_split(X)
+        P = split.principal_basis(k)
+        gram = split.gram
+        m = min(k, gram.rank)
+        assert P.shape == (d, k)
+        assert np.array_equal(orient_columns(P), P)
+        if not m:
+            return
+        A, B = P[:, :m], split.row_space[:, :m]
+        assert np.abs(A.T @ A - np.eye(m)).max() <= 1e-12
+        if n > d:
+            assert np.array_equal(A, B)
+            return
+        Y = gram.rows.T @ (gram.vectors[:, :m] / np.sqrt(gram.values[:m]))
+        s = np.linalg.svd(Y, compute_uv=False)[-1]
+        gamma_n = n * EPS / (1 - n * EPS)
+        e = gamma_n * np.linalg.norm(gram.rows) * np.sqrt((1 / gram.values[:m]).sum())
+        sine = np.linalg.norm(B - A @ (A.T @ B), 2)
+        assert sine <= 2 * (e / s + m * EPS)
+
+    def test_lifts_only_the_columns_it_returns(self):
+        # the full lift of these rows runs its Cholesky-QR pass and is a
+        # 4.1 MB d x r basis; the top 20 columns need neither
+        split = principal_split(log_spectrum(200, 2576, 1e-3, seed=5))
+        tracemalloc.start()
+        try:
+            P = split.principal_basis(20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert P.shape == (2576, 20)
+        assert "row_space" not in vars(split)
+        assert peak < 2 * 2**20

@@ -25,6 +25,7 @@ from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
 from nearline.nlp import (
     TrainConfig,
     TrainedModel,
+    TrainingSplit,
     assemble_scatter,
     build_neighbor_lines,
     eigen_step,
@@ -510,12 +511,13 @@ def fit_problems(draw):
 
 def two_pass_train(ds, config):
     """The training loop with one line pass for each scatter operator and
-    another for each objective, from the public pieces (reference)."""
+    another for each objective, from the public pieces (reference).  It
+    starts, as ``train`` does, from the split's principal basis."""
     X = centered(ds)
     V = row_space(X)
     Z = X @ V
     r = V.shape[1]
-    W = orient_columns(complete_basis(V, config.d_prime))
+    W = TrainingSplit(ds).principal_basis(config.d_prime)
     W_z = V.T @ W
     index = build_neighbor_lines(X, config.K)
     previous = objective(Z, index, W_z)
