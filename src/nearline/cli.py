@@ -17,7 +17,7 @@ from nearline.baselines import BaselineConfig
 from nearline.data import SplitSpec, load_csv, load_pgm_dir
 from nearline.evaluate import ExperimentError, fit_method, run_experiment, run_experiments
 from nearline.model_io import atomic_write_text, load_model, save_model, save_report
-from nearline.nlp import TrainConfig, project
+from nearline.nlp import TrainConfig, TrainingSplit, project
 
 log = logging.getLogger(__name__)
 
@@ -194,8 +194,9 @@ def _classifier_name(spec: RunSpec) -> str:
 
 def _cmd_train(spec: RunSpec) -> None:
     config = _method_config(spec, spec.method, spec.dim)
-    dataset = _load_dataset(spec)
-    model = fit_method(dataset, config)
+    # the split's centered copy is the only one of the rows the fit holds:
+    # nothing keeps the loaded dataset once it is centered
+    model = fit_method(TrainingSplit(_load_dataset(spec)), config)
     save_model(model, spec.out)
     trace_path = _sibling_path(spec.out, ".trace.csv")
     trace_lines = ["iteration,objective"]

@@ -302,7 +302,8 @@ def load_pgm_dir(path) -> Dataset:
 
     Class ids follow the lexicographic order of the subdirectory names; each
     image is flattened row-major and scaled by its maxval into [0, 1].  All
-    images must share one width x height.
+    images must share one width x height.  Every file is listed before any
+    is read, so the rows are written straight into one n x d matrix.
     """
     root = Path(path)
     if not root.is_dir():
@@ -311,24 +312,26 @@ def load_pgm_dir(path) -> Dataset:
     if not class_dirs:
         raise DataFormatError(f"{root}: no class subdirectories found")
 
-    vectors, labels = [], []
-    ref_shape, ref_file = None, None
+    files, labels = [], []
     for class_id, class_dir in enumerate(class_dirs):
-        files = sorted(p for p in class_dir.iterdir() if p.suffix.lower() == ".pgm")
-        if not files:
+        found = sorted(p for p in class_dir.iterdir() if p.suffix.lower() == ".pgm")
+        if not found:
             raise DataFormatError(f"{class_dir}: empty class directory (no .pgm files)")
-        for f in files:
-            grid, maxval = load_pgm(f)
-            if ref_shape is None:
-                ref_shape, ref_file = grid.shape, f
-            elif grid.shape != ref_shape:
-                raise DataFormatError(
-                    f"image dimension mismatch: {ref_file} is {ref_shape[1]}x{ref_shape[0]} "
-                    f"but {f} is {grid.shape[1]}x{grid.shape[0]}"
-                )
-            vectors.append(grid.reshape(-1).astype(float) / maxval)
-            labels.append(class_id)
-    return Dataset._owning(np.vstack(vectors), np.array(labels))
+        files += found
+        labels += [class_id] * len(found)
+
+    features, ref_shape = None, None
+    for row, f in enumerate(files):
+        grid, maxval = load_pgm(f)
+        if features is None:
+            features, ref_shape = np.empty((len(files), grid.size)), grid.shape
+        elif grid.shape != ref_shape:
+            raise DataFormatError(
+                f"image dimension mismatch: {files[0]} is {ref_shape[1]}x{ref_shape[0]} "
+                f"but {f} is {grid.shape[1]}x{grid.shape[0]}"
+            )
+        np.divide(grid.reshape(-1), maxval, out=features[row])
+    return Dataset._owning(features, np.array(labels))
 
 
 def _train_counts(class_sizes: np.ndarray, train_fraction: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,24 @@ import pytest
 from nearline import cli
 from nearline.baselines import BaselineConfig
 from nearline.cli import RunSpec, main
-from nearline.data import SplitSpec, save_csv
+from nearline.data import SplitSpec, load_pgm_dir, save_csv
+from nearline.evaluate import fit_method
+from nearline.geometry import BLOCK_ELEMENTS
+from nearline.model_io import save_model
 from nearline.nlp import TrainConfig
 from nearline.synthetic import gaussian_blobs, separable_clusters
+
+
+def write_pgm_tree(root, classes, per_class, side, seed=0):
+    """One subdirectory per class of seeded random 8-bit P5 images, side x side."""
+    rng = np.random.default_rng(seed)
+    for c in range(classes):
+        sub = root / f"s{c}"
+        sub.mkdir(parents=True)
+        for i in range(per_class):
+            pixels = rng.integers(0, 256, size=side * side, dtype=np.uint8)
+            (sub / f"img{i}.pgm").write_bytes(f"P5\n{side} {side}\n255\n".encode() + pixels.tobytes())
+    return root
 
 
 @pytest.fixture()
@@ -245,15 +261,7 @@ class TestCompareCommand:
 
 class TestPgmFormat:
     def test_trains_from_pgm_directory(self, tmp_path):
-        rng = np.random.default_rng(0)
-        root = tmp_path / "faces"
-        for cls in range(2):
-            sub = root / f"s{cls}"
-            sub.mkdir(parents=True)
-            for i in range(4):
-                pixels = rng.integers(0, 256, size=16, dtype=np.uint8)
-                pixels[:8] = 30 if cls == 0 else 220
-                (sub / f"img{i}.pgm").write_bytes(b"P5\n4 4\n255\n" + pixels.tobytes())
+        root = write_pgm_tree(tmp_path / "faces", classes=2, per_class=4, side=4)
         out = tmp_path / "model.json"
         code = main([
             "train", "--data", str(root), "--format", "pgm-dir",
@@ -261,3 +269,47 @@ class TestPgmFormat:
         ])
         assert code == 0
         assert json.loads(out.read_text())["d"] == 16
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--method", "nlp", "--k", "3", "--dim", "3", "--max-iters", "4"],
+             TrainConfig(K=3, d_prime=3, max_iters=4)),
+            (["--method", "pca", "--dim", "3"], BaselineConfig("pca", 3)),
+            (["--method", "lpp", "--k", "3", "--dim", "3"], BaselineConfig("lpp", 3, K=3)),
+        ],
+    )
+    def test_model_bytes_match_the_library_fit(self, tmp_path, flags, config):
+        # the command fits on a centered split of the loaded rows; the bytes
+        # must be those of fitting the dataset itself
+        root = write_pgm_tree(tmp_path / "faces", classes=3, per_class=4, side=9)
+        out, expected = tmp_path / "cli.json", tmp_path / "library.json"
+        code = main(["train", "--data", str(root), "--format", "pgm-dir", *flags, "--out", str(out), "--quiet"])
+        assert code == 0
+        save_model(fit_method(load_pgm_dir(root), config), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_train_holds_one_copy_of_the_rows(self, tmp_path):
+        # d >> n: the fit holds the centered rows X (n x d), the row-space
+        # basis V (d x r) and the residual matrix R (lines x r), plus block
+        # temporaries of the neighbor search and the scatter step and a few
+        # d x d' copies of the projection as the last step orients it; a
+        # second n x d copy of the rows overshoots the bound
+        classes, per_class, side, K, d_prime = 4, 6, 160, 3, 2
+        root = write_pgm_tree(tmp_path / "faces", classes, per_class, side)
+        n, d = classes * per_class, side * side
+        r, lines = n - 1, n * K * (K - 1) // 2
+        argv = [
+            "train", "--data", str(root), "--format", "pgm-dir", "--method", "nlp", "--k", str(K),
+            "--dim", str(d_prime), "--max-iters", "2", "--out", str(tmp_path / "m.json"), "--quiet",
+        ]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        held = n * d + d * r + lines * r
+        temporaries = 4 * BLOCK_ELEMENTS + 4 * d * d_prime
+        assert peak < (held + temporaries) * 8 + 2**18

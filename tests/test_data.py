@@ -257,6 +257,42 @@ class TestPgm:
         assert maxval == 65535
         assert grid.reshape(-1).tolist() == [0, 1000, 40000, 65000]
 
+    def test_rows_are_the_scaled_images_bit_for_bit(self, tmp_path):
+        # class ids follow the lexicographic order of the directory names,
+        # not the order they were made in; P5 8-bit, P5 16-bit and P2 mix
+        deep = np.array([0, 1000, 40000, 65000, 12345, 7, 65535, 3, 99], dtype=">u2")
+        makers = {
+            "b": lambda f: make_pgm(f, 3, 3, maxval=251),
+            "a2": lambda f: f.write_bytes(b"P5\n3 3\n65535\n" + deep.tobytes()),
+            "a10": lambda f: make_pgm(f, 3, 3, maxval=97, binary=False),
+        }
+        for name, make in makers.items():
+            (tmp_path / name).mkdir()
+            for stem in ("y", "x"):
+                make(tmp_path / name / f"{stem}.pgm")
+        files = [tmp_path / name / f"{stem}.pgm" for name in ("a10", "a2", "b") for stem in ("x", "y")]
+        ds = load_pgm_dir(tmp_path)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 0, 1, 1, 2, 2]
+        for row, f in zip(ds.features, files):
+            grid, maxval = load_pgm(f)
+            assert row.tobytes() == (grid.reshape(-1).astype(float) / maxval).tobytes()
+
+    def test_holds_one_copy_of_the_rows(self, tmp_path):
+        classes, per_class, side = 4, 6, 64
+        for c in range(classes):
+            (tmp_path / f"c{c}").mkdir()
+            for i in range(per_class):
+                make_pgm(tmp_path / f"c{c}" / f"{i}.pgm", side, side)
+        n, d = classes * per_class, side * side
+        tracemalloc.start()
+        try:
+            load_pgm_dir(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
+
     @pytest.mark.parametrize("samples", ["-3 4 5 6", "3 4 5 256", "3 4 5 99999999999999999999"])
     def test_ascii_sample_outside_range_rejected(self, tmp_path, samples):
         bad = tmp_path / "bad.pgm"
