@@ -1,5 +1,6 @@
-"""Shared numerical helpers: symmetric eigensolves, sign fixing, row-space
-bases lifted from one Gram eigendecomposition as far as the caller reads."""
+"""Shared numerical helpers: symmetric eigensolves, sign fixing, and the
+row-space coordinates of some rows from one Gram eigendecomposition, with
+input-space directions lifted from it only as far as the caller reads."""
 
 from __future__ import annotations
 
@@ -45,31 +46,55 @@ def sym_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class GramEigen:
     """The eigendecomposition of the smaller Gram matrix of some rows, cut
-    to their rank r (``gram_eigh``); ``lift`` turns its top columns into
-    principal directions."""
+    to their rank r (``gram_eigh``): ``coordinates`` are the rows in the
+    basis of principal directions, and ``lift`` turns coefficients on that
+    basis into directions of the input space."""
 
-    rows: np.ndarray     # the rows, rescaled if squaring them would over- or underflow
-    values: np.ndarray   # the r kept eigenvalues lambda = S^2, decreasing
+    rows: np.ndarray     # the rows, divided by scale
+    scale: float         # what gram_eigh divided the rows by (1.0 when it did not rescale)
+    values: np.ndarray   # the r kept eigenvalues lambda = S^2 of the rescaled rows, decreasing
     vectors: np.ndarray  # their eigenvectors U_r, one per column
 
     @property
     def rank(self) -> int:
         return self.values.size
 
-    def lift(self, m: int) -> np.ndarray:
-        """The top m <= r principal directions (d x m), orthonormal and oriented.
+    @property
+    def coordinates(self) -> np.ndarray:
+        """The rows in the principal directions ``V_r`` (n x r): ``X V_r``,
+        which is ``U_r Lambda_r^(1/2)`` when n <= d and ``X U_r`` otherwise,
+        in the units of the rows the caller passed.  Column signs follow
+        ``vectors``, not the orientation ``lift`` applies."""
+        if self.rows.shape[0] <= self.rows.shape[1]:
+            Z = self.vectors * np.sqrt(self.values)
+        else:
+            Z = self.rows @ self.vectors
+        Z *= self.scale
+        return Z
 
-        When n <= d they are ``X^T U_m Lambda_m^(-1/2)``, else the
-        eigenvectors themselves.  The first form loses orthonormality as the
-        kept spectrum spreads, so when ``max |V^T V - I|`` exceeds
-        ``max(n, d) * eps`` one Cholesky-QR pass, ``V R^-1`` with
-        ``V^T V = R^T R``, restores it.  Only the m lifted columns are
-        formed, checked and passed over.
+    def lift(self, B: np.ndarray | int) -> np.ndarray:
+        """The input-space directions ``V_p B`` (d x m), orthonormal and
+        oriented, for coefficients B (p x m) on the top p <= r principal
+        directions ``V_p``.  An int k stands for ``B = I`` (k x k), the top k
+        directions themselves, without a product with the identity.
+
+        When n <= d they are ``X^T U_p Lambda_p^(-1/2) B``, else ``U_p B``.
+        The first form loses orthonormality as the kept spectrum spreads, so
+        when ``max |V^T V - I|`` exceeds ``max(n, d) * eps`` one Cholesky-QR
+        pass, ``V R^-1`` with ``V^T V = R^T R``, restores it.  Only the m
+        lifted columns are formed, checked and passed over.
         """
         X = self.rows
         n, d = X.shape
-        U = self.vectors[:, :m]
-        V = X.T @ (U / np.sqrt(self.values[:m])) if n <= d else np.array(U)
+        top = np.ndim(B) == 0
+        p = B if top else B.shape[0]
+        U = self.vectors[:, :p]
+        if n <= d:
+            U = U / np.sqrt(self.values[:p])
+            V = X.T @ (U if top else U @ B)
+        else:
+            V = np.array(U) if top else U @ B
+        m = V.shape[1]
         if m:
             C = V.T @ V
             if np.abs(C - np.eye(m)).max() > max(n, d) * np.finfo(float).eps:
@@ -94,12 +119,14 @@ def gram_eigh(features: np.ndarray) -> GramEigen:
     # the Gram matrix squares the scale of X: outside this range it would
     # overflow or lose the small eigenvalues to underflow (V is scale-free)
     peak = max(X.max(initial=0.0), -X.min(initial=0.0))
+    scale = 1.0
     if peak and not 1e-100 < peak < 1e100:
+        scale = peak
         X = X / peak
     lam, U = sym_eigh(X @ X.T if n <= d else X.T @ X)
     lam, U = lam[::-1], U[:, ::-1]
     r = np.count_nonzero(lam > lam[0] * max(n, d) * np.finfo(float).eps) if lam.size else 0
-    return GramEigen(rows=X, values=lam[:r], vectors=U[:, :r])
+    return GramEigen(rows=X, scale=scale, values=lam[:r], vectors=U[:, :r])
 
 
 def row_space(features: np.ndarray) -> np.ndarray:

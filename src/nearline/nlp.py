@@ -9,12 +9,15 @@ index is built once, from input-space distances, and never rebuilt.
 
 Every residual is a combination of differences of training rows, so the
 scatter operator lives in the span of the centered training data, of rank
-r <= n - 1.  Training therefore runs in that row space: one eigendecomposition
-of the split's smaller Gram matrix, lifted in full, gives its basis V_r
-(``linalg.row_space``: a Cholesky-QR pass keeps V_r orthonormal, and singular
-values at or below ``S[0] * sqrt(max(n, d) * eps)`` are dropped), the loop
-works on the n x r coordinates X V_r, and the learned update is lifted back
-to the input space once, at the end.  No d x d matrix is built.
+r <= n - 1.  Training therefore runs in that row space, on the coordinates
+Z (n x r) of the rows in their principal directions V_r, read from one
+eigendecomposition of the split's smaller Gram matrix (``linalg.gram_eigh``:
+``Z = U_r Lambda_r^(1/2)`` when n <= d, and singular values at or below
+``S[0] * sqrt(max(n, d) * eps)`` are dropped).  The scatter operator is
+r x r, summed over blocks of lines, and only the learned r x d' update is
+lifted to the input space, once, at the end (``GramEigen.lift``, whose
+Cholesky-QR pass keeps it orthonormal).  No d x d matrix, no d x r basis and
+no matrix of all residuals is built.
 """
 
 from __future__ import annotations
@@ -137,10 +140,10 @@ class TrainingSplit:
     """A training set centered once, the package's only centering step:
     ``mean_vector`` is the column mean of the rows and ``features`` the
     read-only rows minus it.  One eigendecomposition of its smaller Gram
-    matrix (``linalg.gram_eigh``), the row-space basis lifted from all of
-    it and the neighbor/line index per K are computed on first use and
-    shared by every fit on the split; a principal basis lifts only the
-    columns it returns."""
+    matrix (``linalg.gram_eigh``) and the neighbor/line index per K are
+    computed on first use and shared by every fit on the split; each fit
+    lifts from the eigendecomposition only the input-space columns it
+    returns."""
 
     def __init__(self, dataset: Dataset):
         self.mean_vector = dataset.features.mean(axis=0)
@@ -157,15 +160,11 @@ class TrainingSplit:
     def gram(self) -> GramEigen:
         return gram_eigh(self.features)
 
-    @functools.cached_property
-    def row_space(self) -> np.ndarray:
-        return self.gram.lift(self.gram.rank)  # V_r, see linalg.row_space
-
     def principal_basis(self, k: int) -> np.ndarray:
         """The top k principal directions (d x k), oriented, lifted from the
-        split's Gram eigendecomposition without forming the other columns of
-        ``row_space``; past the rank r, deterministic unit directions
-        orthogonal to every training row."""
+        split's Gram eigendecomposition without forming the other r - k
+        columns of the row-space basis; past the rank r, deterministic unit
+        directions orthogonal to every training row."""
         return orient_columns(complete_basis(self.gram.lift(min(k, self.gram.rank)), k))
 
     def neighbor_lines(self, K: int) -> NeighborLineIndex:
@@ -176,13 +175,14 @@ class TrainingSplit:
 
 def _line_pass(X: np.ndarray, W: np.ndarray, triples):
     """One pass over the lines under projection W: coefficients, validity
-    mask and projected residuals.
+    mask and objective.
 
-    Returns (alpha, ok, rho): the line coefficient minimizes the projected
-    residual ``rho = (y_i - y_k) - alpha * (y_j - y_k)``; lines whose
-    projected endpoints (nearly) coincide are masked out for this W only.
+    Returns (alpha, ok, objective): the line coefficient minimizes the
+    projected residual ``rho = (y_i - y_k) - alpha * (y_j - y_k)``; lines
+    whose projected endpoints (nearly) coincide are masked out for this W
+    only, and the objective sums the squared residuals of the kept lines.
     Both the objective of W and the scatter operator built under W are read
-    from this one pass.
+    from this one pass; the residuals themselves are not kept.
     """
     i_idx, j_idx, k_idx = triples
     Y = X @ W
@@ -192,38 +192,36 @@ def _line_pass(X: np.ndarray, W: np.ndarray, triples):
     skipped = ok.size - np.count_nonzero(ok)
     if skipped:
         log.debug("skipped %d degenerate projected lines (of %d)", skipped, ok.size)
-    return alpha, ok, rho
+    kept = rho[ok] if skipped else rho
+    return alpha, ok, float(np.einsum("ij,ij->", kept, kept))
 
 
 def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Scatter operator from one pass's coefficients: the sum of the outer
     products of the input-space residuals of the kept lines, symmetrized.
 
-    The residual matrix is filled in blocks of lines, so besides it only
-    temporaries of at most ``geometry.BLOCK_ELEMENTS`` elements are alive;
-    each element is computed as ``(x_i - x_k) - alpha * (x_j - x_k)``.
+    The operator is summed block by block, ``L += R_b^T R_b`` over the
+    ``geometry.blocks`` of lines, so besides L only temporaries of at most
+    ``geometry.BLOCK_ELEMENTS`` elements and one product of L's size are
+    alive; each residual element is computed as
+    ``(x_i - x_k) - alpha * (x_j - x_k)``.
     """
     i_idx, j_idx, k_idx = triples
+    L = np.zeros((X.shape[1], X.shape[1]))
     if not ok.all():
         if not ok.any():
-            return np.zeros((X.shape[1], X.shape[1]))
+            return L
         i_idx, j_idx, k_idx, alpha = i_idx[ok], j_idx[ok], k_idx[ok], alpha[ok]
-    R = np.empty((i_idx.size, X.shape[1]))
     for rows in blocks(i_idx.size, X.shape[1]):
         Xk = X.take(k_idx[rows], axis=0)
-        np.subtract(X.take(i_idx[rows], axis=0), Xk, out=R[rows])
+        R = X.take(i_idx[rows], axis=0)
+        R -= Xk
         D = X.take(j_idx[rows], axis=0)
         D -= Xk
         D *= alpha[rows, None]
-        R[rows] -= D
-    L = R.T @ R
+        R -= D
+        L += R.T @ R
     return (L + L.T) / 2.0
-
-
-def _objective_of(ok: np.ndarray, rho: np.ndarray) -> float:
-    """Objective from one pass: the summed squared residuals of the kept lines."""
-    kept = rho if ok.all() else rho[ok]
-    return float(np.einsum("ij,ij->", kept, kept))
 
 
 def assemble_scatter(dataset, index: NeighborLineIndex, W: np.ndarray) -> np.ndarray:
@@ -250,8 +248,7 @@ def objective(dataset, index: NeighborLineIndex, W: np.ndarray) -> float:
     Degenerate lines are skipped exactly as in assemble_scatter, so this
     equals the trace of W^T L W against the assembled scatter operator.
     """
-    _, ok, rho = _line_pass(_features_of(dataset), W, index.flat_triples())
-    return _objective_of(ok, rho)
+    return _line_pass(_features_of(dataset), W, index.flat_triples())[2]
 
 
 def eigen_step(L: np.ndarray, d_prime: int) -> np.ndarray:
@@ -282,19 +279,22 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     """Fit the nearest-line projection.
 
     A plain dataset is wrapped in a ``TrainingSplit``, which centers it; the
-    row-space basis ``V_r``, the principal basis the loop starts from and the
+    row-space coordinates ``Z = X V_r`` (``GramEigen.coordinates``) and the
     neighbor/line index (from input-space distances) are read from the split.
-    The loop runs on ``Z = X V_r``, where ``X W`` equals ``Z (V_r^T W)``: each
-    iteration assembles the r x r scatter operator under the current
+    The loop runs on Z, where ``X W`` equals ``Z W_z`` for ``W = V_r W_z``,
+    and starts from the top d' principal directions, ``W_z = I`` (r x d'):
+    each iteration assembles the r x r scatter operator under the current
     projection, replaces the projection through the eigen step, and records
     the objective of the new one.  One line pass per projection gives both
     its objective and the next operator; a change of the degenerate-line
     mask between two projections, where the objective need not decrease, is
     logged at DEBUG level.  Training stops when the relative objective
     change drops below ``rel_tol`` or after ``max_iters`` iterations.  The
-    result ``V_r W_z`` is completed with deterministic directions orthogonal
-    to the training rows when ``d_prime`` exceeds r.  Data with a single
-    distinct row (r = 0) is already at the zero objective.
+    result ``V_r W_z`` is lifted once (``GramEigen.lift``) and, when
+    ``d_prime`` exceeds r, completed with deterministic directions
+    orthogonal to the training rows.  Without iterations the result is the
+    principal basis itself.  Data with a single distinct row (r = 0) is
+    already at the zero objective.
     """
     split = TrainingSplit.of(data)
     n, d = split.features.shape
@@ -303,21 +303,19 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     if config.d_prime > d:
         raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
 
-    V = split.row_space
-    Z = split.features @ V
-    r = V.shape[1]
-    W = split.principal_basis(config.d_prime)
-    W_z = V.T @ W
+    gram = split.gram
+    Z = gram.coordinates
+    r = gram.rank
+    W_z = np.eye(r, config.d_prime)
 
     triples = split.neighbor_lines(config.K).flat_triples()
 
-    alpha, ok, rho = _line_pass(Z, W_z, triples)
-    objective_prev = _objective_of(ok, rho)
+    alpha, ok, objective_prev = _line_pass(Z, W_z, triples)
     if not np.isfinite(objective_prev):
         raise ValueError(f"non-finite objective at initialization: {objective_prev}")
     if config.max_iters == 0 or r == 0:
         return TrainedModel(
-            projection=W,
+            projection=split.principal_basis(config.d_prime),
             mean_vector=split.mean_vector,
             config=config,
             objective_trace=[objective_prev],
@@ -337,14 +335,13 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
         step_traces.append((trace_old, trace_new))
 
         ok_prev = ok
-        alpha, ok, rho = _line_pass(Z, W_z, triples)
+        alpha, ok, value = _line_pass(Z, W_z, triples)
         flipped = np.count_nonzero(ok != ok_prev)
         if flipped:
             log.debug(
                 "iteration %d: degenerate-line mask changed on %d lines; the objective may rise here",
                 t, flipped,
             )
-        value = _objective_of(ok, rho)
         if not np.isfinite(value):
             raise ValueError(f"non-finite objective at iteration {t}: {value}")
         trace.append(value)
@@ -356,8 +353,13 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
             break
         log.debug("iteration %d: objective %.6e (rel change %.3e)", t, value, rel_change)
 
+    W = gram.lift(W_z)
+    if config.d_prime > r:
+        W = orient_columns(complete_basis(W, config.d_prime))
+    else:
+        W = np.asfortranarray(W)  # the layout complete_basis and a loaded model use
     return TrainedModel(
-        projection=orient_columns(complete_basis(V @ W_z, config.d_prime)),
+        projection=W,
         mean_vector=split.mean_vector,
         config=config,
         objective_trace=trace,

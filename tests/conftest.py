@@ -19,8 +19,8 @@ def centered(ds):
 @pytest.fixture()
 def split_work_spies():
     """Spies counting the Gram eigendecompositions (one per training split,
-    shared by its row-space and principal bases) and the neighbor searches a
-    test runs."""
+    shared by the nlp fit and the principal bases) and the neighbor searches
+    a test runs."""
     nlp = nearline.nlp
     with mock.patch.object(nlp, "gram_eigh", wraps=nlp.gram_eigh) as rs, \
             mock.patch.object(nlp, "k_nearest_neighbors", wraps=nlp.k_nearest_neighbors) as knn:

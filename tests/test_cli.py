@@ -290,15 +290,16 @@ class TestPgmFormat:
         assert out.read_bytes() == expected.read_bytes()
 
     def test_train_holds_one_copy_of_the_rows(self, tmp_path):
-        # d >> n: the fit holds the centered rows X (n x d), the row-space
-        # basis V (d x r) and the residual matrix R (lines x r), plus block
+        # d >> n: the peak is the centering step, which holds the loaded rows
+        # and their centered copy X (n x d) at once, plus the mean inside the
+        # slack.  The fit after it holds X, its n x r coordinates, block
         # temporaries of the neighbor search and the scatter step and a few
-        # d x d' copies of the projection as the last step orients it; a
-        # second n x d copy of the rows overshoots the bound
+        # d x d' copies of the projection as the last step lifts it: less
+        # than the loaded rows it no longer holds.  Loaded rows kept alive
+        # through the fit overshoot the bound
         classes, per_class, side, K, d_prime = 4, 6, 160, 3, 2
         root = write_pgm_tree(tmp_path / "faces", classes, per_class, side)
         n, d = classes * per_class, side * side
-        r, lines = n - 1, n * K * (K - 1) // 2
         argv = [
             "train", "--data", str(root), "--format", "pgm-dir", "--method", "nlp", "--k", str(K),
             "--dim", str(d_prime), "--max-iters", "2", "--out", str(tmp_path / "m.json"), "--quiet",
@@ -310,6 +311,5 @@ class TestPgmFormat:
         finally:
             tracemalloc.stop()
         assert code == 0
-        held = n * d + d * r + lines * r
-        temporaries = 4 * BLOCK_ELEMENTS + 4 * d * d_prime
-        assert peak < (held + temporaries) * 8 + 2**18
+        held = 2 * n * d
+        assert peak < (held + BLOCK_ELEMENTS) * 8 + 2**18

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nearline.data import Dataset
-from nearline.linalg import orient_columns, row_space
+from nearline.linalg import gram_eigh, orient_columns, row_space
 from nearline.nlp import TrainingSplit
 
 EPS = np.finfo(float).eps
@@ -151,6 +151,40 @@ class TestRowSpace:
         residual = X - (X @ V) @ V.T
         assert np.sqrt((residual ** 2).sum(axis=1)).max() <= 10 * gram_tol
 
+    @given(row_space_inputs(), st.sampled_from([1.0, 1e-170, 1e-120, 1e120, 1e200]))
+    @example(log_spectrum(12, 30, 1e-5), 1.0)
+    @example(log_spectrum(30, 12, 1e-6), 1.0)
+    @example(log_spectrum(30, 12, 1e-6), 1e200)
+    @example(log_spectrum(12, 30, 1e-5), 1e-170)
+    @settings(deadline=None, max_examples=300)
+    def test_coordinates_are_the_rows_in_the_basis(self, X, scale):
+        """``coordinates`` equals ``X V_r``, the rows in the full lift, up to
+        column signs.  Both come from the same computed eigenpairs
+        ``(lambda_i, u_i)`` of the Gram matrix G, which satisfy
+        ``|G u_i - lambda_i u_i| <~ max(n, d) eps S_0^2`` (forming G and a
+        backward-stable eigensolver).  When n <= d column i of the lift,
+        ``X^T u_i / sqrt(lambda_i)``, maps to ``G u_i / sqrt(lambda_i)``,
+        within ``max(n, d) eps S_0^2 / sqrt(lambda_i)`` of
+        ``sqrt(lambda_i) u_i``; the Cholesky-QR pass mixes in earlier columns
+        with weights of the lift's orthonormality error, of the same order.
+        When n > d the two differ by the pass and by product rounding, which
+        the same bound covers.  ``sqrt(lambda_i)`` is at least the rank cut
+        ``S_0 sqrt(max(n, d) eps)``, and the constant 10 leaves room over the
+        largest ratio seen, 1.8 in 4000 draws.  Rows far outside
+        (1e-100, 1e100) are rescaled for the eigensolve, so a coordinate that
+        loses the factor misses by its size."""
+        X = X * scale
+        n, d = X.shape
+        Z = gram_eigh(X).coordinates
+        XV = X @ row_space(X)
+        assert Z.shape == XV.shape
+        if not Z.shape[1]:
+            return
+        S = np.linalg.svd(X, compute_uv=False)
+        S_i = np.maximum(S[: Z.shape[1]], S[0] * np.sqrt(max(n, d) * EPS))
+        error = np.minimum(np.abs(Z - XV).max(axis=0), np.abs(Z + XV).max(axis=0))
+        assert np.all(error <= 10 * max(n, d) * EPS * S[0] * (S[0] / S_i))
+
     def test_identical_rows_have_rank_zero(self):
         X = np.tile([1.0, -2.0, 3.0, 0.5], (6, 1))
         V = row_space(X - X.mean(axis=0))
@@ -222,7 +256,7 @@ class TestPrincipalBasis:
         assert np.array_equal(orient_columns(P), P)
         if not m:
             return
-        A, B = P[:, :m], split.row_space[:, :m]
+        A, B = P[:, :m], gram.lift(gram.rank)[:, :m]
         assert np.abs(A.T @ A - np.eye(m)).max() <= 1e-12
         if n > d:
             assert np.array_equal(A, B)
@@ -245,5 +279,4 @@ class TestPrincipalBasis:
         finally:
             tracemalloc.stop()
         assert P.shape == (2576, 20)
-        assert "row_space" not in vars(split)
         assert peak < 2 * 2**20

@@ -21,7 +21,7 @@ from nearline.geometry import (
     point_line_sqdist,
     project_onto_lines,
 )
-from nearline.linalg import complete_basis, orient_columns, row_space, sym_eigh
+from nearline.linalg import GramEigen, complete_basis, gram_eigh, orient_columns, sym_eigh
 from nearline.nlp import (
     TrainConfig,
     TrainedModel,
@@ -377,6 +377,34 @@ class TestTrain:
         assert model.projection.shape == (4000, 4)
         assert peak < 16 * 2**20
 
+    def test_memory_does_not_grow_with_K(self, monkeypatch):
+        # n = 400 rows of a d >> n split, r = 399.  A (lines x r) residual
+        # matrix alone takes 12.2 MiB at K = 5 and 54.8 MiB at K = 10, and a
+        # d x r basis 7.8 MiB.  Without them the fit holds n x n and r x r
+        # pieces (1.2 MiB each), block temporaries and the line pass's few
+        # lines x d' arrays (1.4 MiB each at K = 10), under one bound for
+        # every K.  Only the d x d' result is lifted.
+        n, d, d_prime = 400, 2576, 10
+        split = TrainingSplit(random_dataset(np.random.default_rng(15), n, d))
+        lifted = []
+        lift = GramEigen.lift
+
+        def spy(gram, B):
+            lifted.append(B.shape)
+            return lift(gram, B)
+
+        monkeypatch.setattr(GramEigen, "lift", spy)
+        for K in (5, 10):
+            tracemalloc.start()
+            try:
+                model = train(split, TrainConfig(K=K, d_prime=d_prime, max_iters=3, rel_tol=0.0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert model.iterations_run == 3
+            assert peak < 16 * 2**20
+        assert lifted == [(n - 1, d_prime)] * 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="K must be >= 2"):
             TrainConfig(K=1, d_prime=2)
@@ -511,18 +539,18 @@ def fit_problems(draw):
 
 def two_pass_train(ds, config):
     """The training loop with one line pass for each scatter operator and
-    another for each objective, from the public pieces (reference).  It
-    starts, as ``train`` does, from the split's principal basis."""
+    another for each objective, from the public pieces (reference).  As in
+    ``train``, it runs on the split's row-space coordinates, starts from the
+    top principal directions and lifts the result once."""
     X = centered(ds)
-    V = row_space(X)
-    Z = X @ V
-    r = V.shape[1]
-    W = TrainingSplit(ds).principal_basis(config.d_prime)
-    W_z = V.T @ W
+    gram = gram_eigh(X)
+    Z = gram.coordinates
+    r = gram.rank
+    W_z = np.eye(r, config.d_prime)
     index = build_neighbor_lines(X, config.K)
     previous = objective(Z, index, W_z)
     if config.max_iters == 0 or r == 0:
-        return W, [previous], [], 0, r == 0
+        return TrainingSplit(ds).principal_basis(config.d_prime), [previous], [], 0, r == 0
     objectives, steps = [], []
     converged = False
     for t in range(1, config.max_iters + 1):
@@ -537,13 +565,15 @@ def two_pass_train(ds, config):
         if rel_change < config.rel_tol:
             converged = True
             break
-    W = orient_columns(complete_basis(V @ W_z, config.d_prime))
+    W = orient_columns(complete_basis(gram.lift(W_z), config.d_prime))
     return W, objectives, steps, t, converged
 
 
 def direct_scatter_and_objective(X, index, W):
     """The operator and the objective each from its own expression over the
-    kept lines (oracle for the exact arithmetic of the shared pass)."""
+    kept lines (oracle for the exact arithmetic of the shared pass).  The
+    operator sums ``R_b^T R_b`` over the residuals of the same
+    ``geometry.blocks`` of kept lines that the scatter step reads."""
     Y = X @ W
     i, j, k = index.flat_triples()
     Djk = Y[j] - Y[k]
@@ -556,7 +586,9 @@ def direct_scatter_and_objective(X, index, W):
     np.divide(np.einsum("ij,ij->i", Y[i] - Y[k], Djk), gap, out=alpha, where=ok)
     i, j, k, alpha = i[ok], j[ok], k[ok], alpha[ok]
     R = X[i] - X[k] - alpha[:, None] * (X[j] - X[k])
-    L = R.T @ R
+    L = np.zeros((X.shape[1], X.shape[1]))
+    for rows in nearline.geometry.blocks(R.shape[0], R.shape[1]):
+        L += R[rows].T @ R[rows]
     rho = (Y[i] - Y[k]) - alpha[:, None] * (Y[j] - Y[k])
     return (L + L.T) / 2.0, float(np.einsum("ij,ij->", rho, rho))
 
@@ -569,9 +601,10 @@ class TestSingleLinePass:
         X = ds.features
         index = build_neighbor_lines(X, config.K)
         W = np.random.default_rng(seed).normal(size=(ds.d, config.d_prime))
-        L, value = direct_scatter_and_objective(X, index, W)
         with mock.patch.object(nearline.geometry, "BLOCK_ELEMENTS", budget):
+            L, value = direct_scatter_and_objective(X, index, W)
             assert np.array_equal(assemble_scatter(X, index, W), L)
+        L, value = direct_scatter_and_objective(X, index, W)
         assert np.array_equal(assemble_scatter(X, index, W), L)
         assert objective(X, index, W) == value
 
@@ -584,6 +617,7 @@ class TestSingleLinePass:
         assert model.objective_trace == objectives
         assert model.step_traces == steps
         assert np.array_equal(model.projection, W)
+        assert model.projection.flags.f_contiguous  # the layout load_model gives
         assert (model.iterations_run, model.converged) == (iterations, converged)
 
     def test_one_pass_per_projection(self, monkeypatch):
