@@ -17,11 +17,7 @@ def orient_columns(V: np.ndarray) -> np.ndarray:
     vectors are only defined up to sign; this makes every decomposition in
     the package deterministic.
     """
-    return _orient_in_place(np.array(V, dtype=float))
-
-
-def _orient_in_place(V: np.ndarray) -> np.ndarray:
-    """``orient_columns`` on a float array the caller owns, without a copy."""
+    V = np.array(V, dtype=float)
     if V.shape[1] == 0:
         return V
     cols = np.arange(V.shape[1])
@@ -72,34 +68,35 @@ class GramEigen:
         Z *= self.scale
         return Z
 
-    def lift(self, B: np.ndarray | int) -> np.ndarray:
+    def lift(self, B: np.ndarray, k: int) -> np.ndarray:
         """The input-space directions ``V_p B`` (d x m), orthonormal and
         oriented, for coefficients B (p x m) on the top p <= r principal
-        directions ``V_p``.  An int k stands for ``B = I`` (k x k), the top k
-        directions themselves, without a product with the identity.
+        directions ``V_p``, completed to k >= m columns (``complete_basis``)
+        with deterministic unit directions orthogonal to them; column-major.
 
         When n <= d they are ``X^T U_p Lambda_p^(-1/2) B``, else ``U_p B``.
         The first form loses orthonormality as the kept spectrum spreads, so
         when ``max |V^T V - I|`` exceeds ``max(n, d) * eps`` one Cholesky-QR
         pass, ``V R^-1`` with ``V^T V = R^T R``, restores it.  Only the m
-        lifted columns are formed, checked and passed over.
+        lifted columns are formed, checked and passed over; ``B = I`` gives
+        the top p directions themselves, bit for bit.
         """
         X = self.rows
         n, d = X.shape
-        top = np.ndim(B) == 0
-        p = B if top else B.shape[0]
+        p, m = B.shape
         U = self.vectors[:, :p]
         if n <= d:
-            U = U / np.sqrt(self.values[:p])
-            V = X.T @ (U if top else U @ B)
+            V = X.T @ ((U / np.sqrt(self.values[:p])) @ B)
         else:
-            V = np.array(U) if top else U @ B
-        m = V.shape[1]
+            V = U @ B
         if m:
             C = V.T @ V
             if np.abs(C - np.eye(m)).max() > max(n, d) * np.finfo(float).eps:
                 V = V @ np.linalg.inv(np.linalg.cholesky(C).T)
-        return _orient_in_place(V)
+        if k > m:
+            V = complete_basis(V, k)
+        V = np.asfortranarray(V)  # the layout a model file's projection_columns load into
+        return orient_columns(V)
 
 
 def gram_eigh(features: np.ndarray) -> GramEigen:
@@ -139,14 +136,16 @@ def row_space(features: np.ndarray) -> np.ndarray:
     equals ``Z @ B`` for any r-row matrix B.
     """
     gram = gram_eigh(features)
-    return gram.lift(gram.rank)
+    return gram.lift(np.eye(gram.rank), gram.rank)
 
 
 def complete_basis(V: np.ndarray, k: int) -> np.ndarray:
     """Extend orthonormal columns of V to k columns using identity directions.
 
     Candidate axes are tried in index order and orthogonalized against the
-    accepted columns, so the completion is deterministic.
+    accepted columns, so the completion is deterministic.  Each axis gets two
+    Gram-Schmidt passes: the second removes what rounding left of the first,
+    so an axis nearly inside the span still comes out orthogonal to eps.
     """
     d = V.shape[0]
     if k > d:
@@ -157,7 +156,7 @@ def complete_basis(V: np.ndarray, k: int) -> np.ndarray:
             break
         e = np.zeros(d)
         e[axis] = 1.0
-        for c in cols:
+        for c in cols * 2:
             e = e - (c @ e) * c
         norm = np.linalg.norm(e)
         if norm > 1e-8:

@@ -17,7 +17,8 @@ eigendecomposition of the split's smaller Gram matrix (``linalg.gram_eigh``:
 r x r, summed over blocks of lines, and only the learned r x d' update is
 lifted to the input space, once, at the end (``GramEigen.lift``, whose
 Cholesky-QR pass keeps it orthonormal).  No d x d matrix, no d x r basis and
-no matrix of all residuals is built.
+no matrix of all residuals is built.  While the set of degenerate lines
+stays the same, neither step can raise the objective.
 """
 
 from __future__ import annotations
@@ -30,14 +31,9 @@ import numpy as np
 
 from nearline.data import Dataset
 from nearline.geometry import blocks, nearest_rows, project_onto_lines
-from nearline.linalg import GramEigen, complete_basis, gram_eigh, orient_columns, sym_eigh
+from nearline.linalg import GramEigen, gram_eigh, orient_columns, sym_eigh
 
 log = logging.getLogger(__name__)
-
-# Eigenvalues this small relative to the mean eigenvalue correspond to
-# directions the residuals never span; they are ranked after all others so
-# the projection does not collapse onto pure noise directions.
-TRIVIAL_EIGENVALUE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ class TrainingSplit:
         split's Gram eigendecomposition without forming the other r - k
         columns of the row-space basis; past the rank r, deterministic unit
         directions orthogonal to every training row."""
-        return orient_columns(complete_basis(self.gram.lift(min(k, self.gram.rank)), k))
+        return self.gram.lift(np.eye(min(k, self.gram.rank)), k)
 
     def neighbor_lines(self, K: int) -> NeighborLineIndex:
         if K not in self._neighbor_lines:
@@ -253,26 +249,15 @@ def objective(dataset, index: NeighborLineIndex, W: np.ndarray) -> float:
 
 def eigen_step(L: np.ndarray, d_prime: int) -> np.ndarray:
     """Projection update: the eigenvectors of L's d_prime smallest
-    eigenvalues, which minimize the trace objective.
-
-    Near-null eigenvalues, smaller in magnitude than a 1e-10 fraction of the
-    mean eigenvalue, are ranked after all others so the update prefers
-    directions the residuals actually span.
-    """
+    eigenvalues, null ones included, which minimize the trace objective."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"scatter operator must be square, got shape {L.shape}")
     d = L.shape[0]
     if not 1 <= d_prime <= d:
         raise ValueError(f"d_prime must be in [1, {d}], got {d_prime}")
-    vals, vecs = sym_eigh(L)
-    threshold = TRIVIAL_EIGENVALUE_RTOL * np.trace(L) / d
-    trivial = np.abs(vals) < threshold
-    if trivial.any():
-        log.debug("deprioritized %d near-null eigenvalues (|lambda| < %.3e)", int(trivial.sum()), threshold)
-    idx = np.concatenate([np.flatnonzero(~trivial), np.flatnonzero(trivial)])
-    W = vecs[:, idx[:d_prime]]
-    return orient_columns(W)
+    _, vecs = sym_eigh(L)
+    return orient_columns(np.asfortranarray(vecs[:, :d_prime]))
 
 
 def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
@@ -282,19 +267,20 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     row-space coordinates ``Z = X V_r`` (``GramEigen.coordinates``) and the
     neighbor/line index (from input-space distances) are read from the split.
     The loop runs on Z, where ``X W`` equals ``Z W_z`` for ``W = V_r W_z``,
-    and starts from the top d' principal directions, ``W_z = I`` (r x d'):
-    each iteration assembles the r x r scatter operator under the current
-    projection, replaces the projection through the eigen step, and records
-    the objective of the new one.  One line pass per projection gives both
-    its objective and the next operator; a change of the degenerate-line
-    mask between two projections, where the objective need not decrease, is
-    logged at DEBUG level.  Training stops when the relative objective
-    change drops below ``rel_tol`` or after ``max_iters`` iterations.  The
-    result ``V_r W_z`` is lifted once (``GramEigen.lift``) and, when
-    ``d_prime`` exceeds r, completed with deterministic directions
+    and starts from the top principal directions, ``W_z = I``
+    (r x min(d', r)): each iteration assembles the r x r scatter operator
+    under the current projection, replaces the projection through the eigen
+    step, and records the objective of the new one.  One line pass per
+    projection gives both its objective and the next operator.  The
+    objective does not rise unless the degenerate-line mask changes between
+    two projections; such a change is logged at DEBUG level.  Training stops
+    when the relative objective change drops below ``rel_tol`` or after
+    ``max_iters`` iterations.  The result ``V_r W_z`` is lifted once (``GramEigen.lift``)
+    and, when ``d_prime`` exceeds r, completed with deterministic directions
     orthogonal to the training rows.  Without iterations the result is the
-    principal basis itself.  Data with a single distinct row (r = 0) is
-    already at the zero objective.
+    principal basis and the trace holds the initial objective.  Data with a
+    single distinct row (r = 0) is already at the zero objective and runs
+    none.
     """
     split = TrainingSplit.of(data)
     n, d = split.features.shape
@@ -306,28 +292,19 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     gram = split.gram
     Z = gram.coordinates
     r = gram.rank
-    W_z = np.eye(r, config.d_prime)
+    W_z = np.eye(r, min(config.d_prime, r))
 
     triples = split.neighbor_lines(config.K).flat_triples()
 
     alpha, ok, objective_prev = _line_pass(Z, W_z, triples)
     if not np.isfinite(objective_prev):
         raise ValueError(f"non-finite objective at initialization: {objective_prev}")
-    if config.max_iters == 0 or r == 0:
-        return TrainedModel(
-            projection=split.principal_basis(config.d_prime),
-            mean_vector=split.mean_vector,
-            config=config,
-            objective_trace=[objective_prev],
-            iterations_run=0,
-            converged=r == 0,
-        )
 
     trace: list[float] = []
     step_traces: list[tuple[float, float]] = []
-    converged = False
+    converged = r == 0
     iterations = 0
-    for t in range(1, config.max_iters + 1):
+    for t in range(1, config.max_iters + 1 if r else 1):
         L = _scatter_of(Z, triples, alpha, ok)
         trace_old = float(np.trace(W_z.T @ L @ W_z))
         W_z = eigen_step(L, min(config.d_prime, r))
@@ -353,16 +330,11 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
             break
         log.debug("iteration %d: objective %.6e (rel change %.3e)", t, value, rel_change)
 
-    W = gram.lift(W_z)
-    if config.d_prime > r:
-        W = orient_columns(complete_basis(W, config.d_prime))
-    else:
-        W = np.asfortranarray(W)  # the layout complete_basis and a loaded model use
     return TrainedModel(
-        projection=W,
+        projection=gram.lift(W_z, config.d_prime),
         mean_vector=split.mean_vector,
         config=config,
-        objective_trace=trace,
+        objective_trace=trace or [objective_prev],
         iterations_run=iterations,
         converged=converged,
         step_traces=step_traces,
