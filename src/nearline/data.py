@@ -354,9 +354,23 @@ def _train_counts(class_sizes: np.ndarray, train_fraction: float) -> np.ndarray:
     return counts
 
 
+def class_groups(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct labels in increasing order and, for each, the indices of
+    its rows in index order: one stable sort of the labels, cut where the
+    label changes.  The per-class bookkeeping of the evaluation protocol
+    (``split_indices``, ``evaluate``'s per-class accuracy) reads it instead
+    of ``np.unique``, which in numpy 2 loads ``numpy.ma`` when asked for the
+    values alone."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    groups = np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
+    return labels[[rows[0] for rows in groups]], groups
+
+
 def split_indices(labels: np.ndarray, spec: SplitSpec, repeat_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive (train, test) index arrays for one repeat, each
-    class drawing its ``_train_counts`` share of train rows.
+    class drawing its ``_train_counts`` share of train rows.  The classes are
+    counted and grouped in one sorted pass over the labels (``class_groups``).
 
     Deterministic in (spec.seed, repeat_index): the generator is seeded with
     the pair, so every repeat has its own reproducible stream.
@@ -366,17 +380,15 @@ def split_indices(labels: np.ndarray, spec: SplitSpec, repeat_index: int) -> tup
     labels = np.asarray(labels)
     n = labels.shape[0]
     rng = np.random.default_rng([spec.seed, repeat_index])
-    classes = np.unique(labels)
-    sizes = np.array([(labels == c).sum() for c in classes])
-    counts = _train_counts(sizes, spec.train_fraction)
+    classes, by_class = class_groups(labels)
+    counts = _train_counts(np.array([rows.size for rows in by_class]), spec.train_fraction)
     if (counts < 1).any():
         small = classes[np.argmin(counts)]
         raise ValueError(
             f"class {small} too small for stratified split at train_fraction {spec.train_fraction}"
         )
     train_parts = []
-    for c, count in zip(classes, counts):
-        members = np.flatnonzero(labels == c)
+    for members, count in zip(by_class, counts):
         perm = rng.permutation(members.size)
         train_parts.append(members[perm[:count]])
     train = np.sort(np.concatenate(train_parts))

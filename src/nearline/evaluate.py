@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from nearline.baselines import BaselineConfig, train_lpp, train_pca
-from nearline.data import Dataset, SplitSpec, split_indices
+from nearline.data import Dataset, SplitSpec, class_groups, split_indices
 from nearline.geometry import blocks, line_gaps, nearest_candidates, nearest_rows, project_onto_lines
 from nearline.model_io import config_to_dict
 from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, project, train
@@ -230,7 +230,8 @@ def run_experiments(
 def _report(method_config, labels: np.ndarray, hits: list, split: SplitSpec, classifier: str) -> EvalReport:
     accuracies = [float(np.mean(h)) for h in hits]
     pooled = np.concatenate(hits)
-    per_class = {int(c): int(pooled[labels == c].sum()) / int((labels == c).sum()) for c in np.unique(labels)}
+    classes, by_class = class_groups(labels)
+    per_class = {int(c): int(pooled[rows].sum()) / rows.size for c, rows in zip(classes, by_class)}
     return EvalReport(
         per_repeat_accuracy=accuracies,
         mean_accuracy=float(np.mean(accuracies)),

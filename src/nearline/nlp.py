@@ -178,18 +178,27 @@ def _line_pass(X: np.ndarray, W: np.ndarray, triples):
     whose projected endpoints (nearly) coincide are masked out for this W
     only, and the objective sums the squared residuals of the kept lines.
     Both the objective of W and the scatter operator built under W are read
-    from this one pass; the residuals themselves are not kept.
+    from this one pass; the residuals themselves are not kept.  The lines are
+    gathered and projected one ``geometry.blocks`` slice at a time and the
+    objective is summed per slice, so besides the per-line coefficients and
+    mask only temporaries of at most ``geometry.BLOCK_ELEMENTS`` elements
+    are alive.
     """
     i_idx, j_idx, k_idx = triples
     Y = X @ W
-    alpha, rho, ok = project_onto_lines(
-        Y.take(i_idx, axis=0), Y.take(j_idx, axis=0), Y.take(k_idx, axis=0)
-    )
+    alpha = np.empty(i_idx.size)
+    ok = np.empty(i_idx.size, dtype=bool)
+    total = 0.0
+    for rows in blocks(i_idx.size, Y.shape[1]):
+        alpha[rows], rho, ok[rows] = project_onto_lines(
+            Y.take(i_idx[rows], axis=0), Y.take(j_idx[rows], axis=0), Y.take(k_idx[rows], axis=0)
+        )
+        kept = rho if ok[rows].all() else rho[ok[rows]]
+        total += float(np.einsum("ij,ij->", kept, kept))
     skipped = ok.size - np.count_nonzero(ok)
     if skipped:
         log.debug("skipped %d degenerate projected lines (of %d)", skipped, ok.size)
-    kept = rho[ok] if skipped else rho
-    return alpha, ok, float(np.einsum("ij,ij->", kept, kept))
+    return alpha, ok, total
 
 
 def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ Prints one PASS/FAIL line per acceptance criterion at the end of the run.
 
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import nearline.nlp
 
@@ -14,6 +16,16 @@ def centered(ds):
     """The rows of a dataset minus their column mean (oracle for the
     centering ``TrainingSplit`` does)."""
     return ds.features - ds.features.mean(axis=0)
+
+
+@st.composite
+def gapped_labels(draw):
+    """Up to six distinct class labels with gaps between their values, each
+    class of 1 to 9 rows, the rows in a random order."""
+    values = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+    labels = np.repeat(np.array(values, dtype=np.int64), sizes)
+    return labels[draw(st.permutations(range(labels.size)))]
 
 
 @pytest.fixture()

@@ -167,6 +167,18 @@ class TestKnnAffinity:
         assert A[0, 1] == 1.0 and A[4, 3] > 0.0
 
 
+def run_script(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter that imports this nearline."""
+    src = str(Path(nearline.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestLazyScipy:
     def test_scipy_loads_only_when_lpp_is_fitted(self):
         script = """
@@ -185,14 +197,32 @@ assert "scipy" not in sys.modules
 train_lpp(ds, BaselineConfig("lpp", 2, K=3))
 assert "scipy.linalg" in sys.modules
 """
-        src = str(Path(nearline.__file__).resolve().parent.parent)
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = run_script(script)
+        assert result.returncode == 0, result.stderr
+
+
+class TestLazyNumpyMa:
+    def test_evaluation_never_imports_numpy_ma(self):
+        # numpy before 2.0 imports numpy.ma with numpy itself
+        script = """
+import sys
+import numpy as np
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+from nearline.baselines import BaselineConfig
+from nearline.data import Dataset, SplitSpec
+from nearline.evaluate import run_experiments
+from nearline.nlp import TrainConfig
+rng = np.random.default_rng(0)
+ds = Dataset(rng.normal(size=(30, 6)), np.repeat([0, 4, 7], 10))
+configs = [TrainConfig(K=3, d_prime=2, max_iters=2), BaselineConfig("pca", 2)]
+for classifier in ("nn", "nearest_line"):
+    run_experiments(ds, configs, SplitSpec(0.5, 1, 3), classifier)
+assert "numpy.ma" not in sys.modules
+"""
+        result = run_script(script)
+        if result.returncode == 3:
+            pytest.skip("this numpy imports numpy.ma on import")
         assert result.returncode == 0, result.stderr
 
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gapped_labels
 from nearline import data
 from nearline.data import (
     DataFormatError,
     Dataset,
     SplitSpec,
+    class_groups,
     load_csv,
     load_pgm,
     load_pgm_dir,
@@ -338,7 +340,53 @@ class TestCenter:
         assert peak < 1.5 * n * d * 8
 
 
+def mask_split_indices(labels, spec, repeat_index):
+    """Oracle for ``split_indices``: each class counted with ``labels == c``
+    and its members listed with ``np.flatnonzero``, one mask per class.
+    None where ``split_indices`` must raise."""
+    rng = np.random.default_rng([spec.seed, repeat_index])
+    classes = np.unique(labels)
+    sizes = np.array([(labels == c).sum() for c in classes])
+    counts = data._train_counts(sizes, spec.train_fraction)
+    if (counts < 1).any():
+        return None
+    train_parts = []
+    for c, count in zip(classes, counts):
+        members = np.flatnonzero(labels == c)
+        train_parts.append(members[rng.permutation(members.size)[:count]])
+    train = np.sort(np.concatenate(train_parts))
+    test = np.setdiff1d(np.arange(labels.size), train)
+    return (train, test) if test.size else None
+
+
 class TestSplits:
+    @given(gapped_labels())
+    @settings(deadline=None)
+    def test_class_groups_match_per_class_masks(self, labels):
+        classes, groups = class_groups(labels)
+        assert classes.dtype == labels.dtype
+        assert classes.tolist() == np.unique(labels).tolist()
+        assert [rows.tolist() for rows in groups] == [np.flatnonzero(labels == c).tolist() for c in classes]
+
+    @given(
+        gapped_labels(),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_matches_per_class_mask_oracle(self, labels, fraction, seed, repeats, draw):
+        spec = SplitSpec(train_fraction=fraction, seed=seed, repeats=repeats)
+        repeat = draw.draw(st.integers(0, repeats - 1))
+        want = mask_split_indices(labels, spec, repeat)
+        if want is None:
+            with pytest.raises(ValueError):
+                split_indices(labels, spec, repeat)
+            return
+        for got, expected in zip(split_indices(labels, spec, repeat), want):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
     def test_balanced_half_split_counts(self):
         labels = np.array([0] * 5 + [1] * 5)
         ds = Dataset(np.arange(20, dtype=float).reshape(10, 2), labels)

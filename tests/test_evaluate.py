@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gapped_labels
 from nearline import evaluate, geometry
 from nearline.baselines import BaselineConfig
 from nearline.data import Dataset, SplitSpec
@@ -521,6 +522,17 @@ class TestRunExperiment:
         assert report.method == "pca"
         for acc in report.per_class_accuracy.values():
             assert 0.0 <= acc <= 1.0
+
+    @given(gapped_labels(), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_per_class_accuracy_matches_per_class_masks(self, labels, draw):
+        pooled = np.array(draw.draw(st.lists(st.booleans(), min_size=labels.size, max_size=labels.size)))
+        cuts = draw.draw(st.lists(st.integers(1, labels.size), unique=True, max_size=3))
+        hits = np.split(pooled, sorted(c for c in cuts if c < labels.size))  # one per repeat
+        split = SplitSpec(train_fraction=0.5, seed=0, repeats=len(hits))
+        report = evaluate._report(BaselineConfig("pca", 2), labels, hits, split, "nn")
+        want = {int(c): int(pooled[labels == c].sum()) / int((labels == c).sum()) for c in np.unique(labels)}
+        assert list(report.per_class_accuracy.items()) == list(want.items())
 
     def test_failing_repeat_reports_index(self):
         ds = gaussian_blobs(n_per_class=4, n_classes=2, d=10, seed=7)

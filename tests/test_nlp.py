@@ -378,13 +378,22 @@ class TestTrain:
         assert peak < 16 * 2**20
 
     def test_memory_does_not_grow_with_K(self, monkeypatch):
-        # n = 400 rows of a d >> n split, r = 399.  A (lines x r) residual
-        # matrix alone takes 12.2 MiB at K = 5 and 54.8 MiB at K = 10, and a
-        # d x r basis 7.8 MiB.  Without them the fit holds n x n and r x r
-        # pieces (1.2 MiB each), block temporaries and the line pass's few
-        # lines x d' arrays (1.4 MiB each at K = 10), under one bound for
-        # every K.  Only the d x d' result is lifted.
-        n, d, d_prime = 400, 2576, 10
+        """n = 400 rows of a d >> n split, r = 399, K = 5 and 10 (4000 and
+        18 000 lines), d' = 10 and 40.
+
+        A (lines x r) residual matrix alone would take 12.2 MiB at K = 5 and
+        54.8 MiB at K = 10, and a d x r basis 7.8 MiB.  Without them the fit
+        holds pieces of n x n or r x r size (1.2 MiB each; at most six at
+        once: the Gram matrix, its symmetrized copy and eigenvectors, Z, L
+        and L + L^T or a block's R^T R, 7.3 MiB), temporaries of at most
+        ``BLOCK_ELEMENTS`` (0.5 MiB each; the line pass holds six: three
+        gathered endpoint blocks, D, rho and alpha D, 3 MiB), the per-line
+        indices, coefficients and mask (0.6 MiB at K = 10) and the lifted
+        d x d' result (0.8 MiB at d' = 40): 11.7 MiB, under 12 MiB for every
+        K and d'.  A line pass over all lines at once holds its six arrays
+        at lines x d' each instead, 33 MiB at K = 10 and d' = 40.
+        """
+        n, d = 400, 2576
         split = TrainingSplit(random_dataset(np.random.default_rng(15), n, d))
         lifted = []
         lift = GramEigen.lift
@@ -394,16 +403,17 @@ class TestTrain:
             return lift(gram, B, k)
 
         monkeypatch.setattr(GramEigen, "lift", spy)
-        for K in (5, 10):
-            tracemalloc.start()
-            try:
-                model = train(split, TrainConfig(K=K, d_prime=d_prime, max_iters=3, rel_tol=0.0))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert model.iterations_run == 3
-            assert peak < 16 * 2**20
-        assert lifted == [((n - 1, d_prime), d_prime)] * 2
+        for d_prime in (10, 40):
+            for K in (5, 10):
+                tracemalloc.start()
+                try:
+                    model = train(split, TrainConfig(K=K, d_prime=d_prime, max_iters=3, rel_tol=0.0))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert model.iterations_run == 3
+                assert peak < 12 * 2**20, (K, d_prime, peak)
+        assert lifted == [((n - 1, d_prime), d_prime) for d_prime in (10, 40) for _ in (5, 10)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="K must be >= 2"):
@@ -606,6 +616,9 @@ class TestSingleLinePass:
         with mock.patch.object(nearline.geometry, "BLOCK_ELEMENTS", budget):
             L, value = direct_scatter_and_objective(X, index, W)
             assert np.array_equal(assemble_scatter(X, index, W), L)
+            # summed block by block, m nonnegative terms regroup within
+            # about m eps of the one-pass sum
+            assert objective(X, index, W) == pytest.approx(value, rel=1e-12)
         L, value = direct_scatter_and_objective(X, index, W)
         assert np.array_equal(assemble_scatter(X, index, W), L)
         assert objective(X, index, W) == value
