@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from nearline.baselines import BaselineConfig
-from nearline.data import SplitSpec, load_csv, load_pgm_dir
+from nearline.data import SplitSpec, feature_csv, load_csv, load_pgm_dir
 from nearline.evaluate import ExperimentError, fit_method, run_experiment, run_experiments
 from nearline.model_io import atomic_write_text, load_model, save_model, save_report
 from nearline.nlp import TrainConfig, TrainingSplit, project
@@ -211,12 +211,7 @@ def _cmd_train(spec: RunSpec) -> None:
 def _cmd_project(spec: RunSpec) -> None:
     model = load_model(spec.model)
     dataset = _load_dataset(spec)
-    projected = project(model, dataset.features)
-    lines = [
-        ",".join(repr(float(v)) for v in row) + f",{int(label)}"
-        for row, label in zip(projected, dataset.labels)
-    ]
-    atomic_write_text(spec.out, "\n".join(lines) + "\n")
+    atomic_write_text(spec.out, feature_csv(project(model, dataset.features), dataset.labels))
     if not spec.quiet:
         print(f"wrote {spec.out}")
 

@@ -216,14 +216,16 @@ def _parse_cells(path: Path, lines: list[str], width: int, label_idx: int):
     return features, labels
 
 
+def feature_csv(features: np.ndarray, labels: np.ndarray) -> str:
+    """Feature rows plus a final label column as CSV text, floats at full
+    round-trip precision (reloading reproduces the values bit for bit)."""
+    lines = [",".join(repr(float(v)) for v in row) + f",{int(label)}" for row, label in zip(features, labels)]
+    return "\n".join(lines) + "\n"
+
+
 def save_csv(dataset: Dataset, path) -> None:
-    """Write features plus a final label column, floats at full round-trip
-    precision (reloading reproduces the values bit for bit)."""
-    path = Path(path)
-    lines = []
-    for row, label in zip(dataset.features, dataset.labels):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the dataset as ``feature_csv`` text."""
+    Path(path).write_text(feature_csv(dataset.features, dataset.labels), encoding="utf-8")
 
 
 def _read_pgm_tokens(data: bytes, path, count: int, offset: int) -> list[int]:

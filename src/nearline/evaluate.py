@@ -213,16 +213,18 @@ def run_experiments(
                 models.append(fit_method(shared, config))
             del shared
             where = f"repeat {r}"
-            train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
-            test_labels.append(test_ds.labels)
+            train_ds = dataset.subset(train_idx)
+            # plain arrays, not a Dataset: a split may leave a single test row
+            test_x, test_y = dataset.features[test_idx], dataset.labels[test_idx]
+            test_labels.append(test_y)
             for config, model, config_hits in zip(method_configs, models, hits):
                 where = _step(r, config)
-                train_y, test_y = project(model, train_ds.features), project(model, test_ds.features)
-                config_hits.append(classify(train_y, train_ds.labels, test_y) == test_ds.labels)
+                predicted = classify(project(model, train_ds.features), train_ds.labels, project(model, test_x))
+                config_hits.append(predicted == test_y)
                 log.debug("%s: accuracy %.4f", where, np.mean(config_hits[-1]))
         except Exception as exc:
             raise ExperimentError(f"{where} failed: {exc}") from exc
-        del train_ds, test_ds, models  # freed before the next split is built
+        del train_ds, test_x, models  # freed before the next split is built
     labels = np.concatenate(test_labels)
     return [_report(config, labels, config_hits, split, classifier) for config, config_hits in zip(method_configs, hits)]
 

@@ -211,6 +211,18 @@ class TestEvaluateCommand:
         assert out_a.read_text() == out_b.read_text()
         assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
+    @pytest.mark.parametrize("classifier", ["nn", "nearest-line"])
+    def test_split_may_leave_one_test_row(self, tmp_path, capsys, classifier):
+        # 9 rows in 3 classes at 0.85 keep 8 rows for training and test 1
+        data = tmp_path / "nine.csv"
+        save_csv(separable_clusters(n_per_class=3, n_classes=3, seed=4), data)
+        code = main([
+            "evaluate", "--data", str(data), "--method", "pca", "--dim", "2", "--train-frac", "0.85",
+            "--repeats", "1", "--seed", "0", "--classifier", classifier, "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 0
+        assert "accuracy: 1.0000 ± 0.0000" in capsys.readouterr().out
+
     def test_requires_train_frac(self, blob_csv, tmp_path, capsys):
         code = main([
             "evaluate", "--data", str(blob_csv), "--dim", "2", "--out", str(tmp_path / "r.json"),

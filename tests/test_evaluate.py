@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import gapped_labels
 from nearline import evaluate, geometry
 from nearline.baselines import BaselineConfig
-from nearline.data import Dataset, SplitSpec
+from nearline.data import Dataset, SplitSpec, split_indices
 from nearline.evaluate import (
     ExperimentError,
     classify_1nn,
@@ -546,6 +546,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="classifier"):
             run_experiment(ds, BaselineConfig("pca", 2), SplitSpec(0.5, 1), "svm")
 
+    @pytest.mark.parametrize("classifier", evaluate.CLASSIFIERS)
+    def test_split_may_leave_one_test_row(self, classifier):
+        # 9 rows in 3 classes at 0.85 keep 8 rows for training and test 1
+        ds = separable_clusters(n_per_class=3, n_classes=3, seed=4)
+        split = SplitSpec(0.85, 0, 1)
+        train_idx, test_idx = split_indices(ds.labels, split, 0)
+        assert (train_idx.size, test_idx.size) == (8, 1)
+        configs = [TrainConfig(K=2, d_prime=2), BaselineConfig("pca", 2)]
+        for report in run_experiments(ds, configs, split, classifier):
+            assert report.per_repeat_accuracy == [1.0]
+            assert list(report.per_class_accuracy.values()) == [1.0]
+
     def test_nearest_line_classifier_path(self):
         ds = separable_clusters(seed=9)
         split = SplitSpec(train_fraction=0.5, seed=13, repeats=3)
@@ -553,7 +565,6 @@ class TestRunExperiment:
         assert report.mean_accuracy == 1.0
 
     def test_no_leakage_model_depends_on_train_split_only(self):
-        from nearline.data import split_indices
         from nearline.evaluate import fit_method
 
         ds = gaussian_blobs(n_per_class=12, n_classes=3, d=8, seed=10)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from nearline.model_io import (
     config_from_dict,
     config_to_dict,
     load_model,
-    model_json,
     model_to_dict,
     report_csv,
     report_json,
@@ -47,14 +47,55 @@ def models(draw):
     return TrainedModel(W, mean, draw(configs), trace, len(trace), False)
 
 
+def assert_same_model(loaded, model):
+    """Bit-equal arrays and trace, except that any NaN matches any NaN (JSON
+    keeps no NaN payload); -0.0 must keep its sign.  The config must be
+    equal."""
+    for got, want in ((loaded.projection, model.projection), (loaded.mean_vector, model.mean_vector),
+                      (np.array(loaded.objective_trace, dtype=float), np.array(model.objective_trace, dtype=float))):
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert loaded.config == model.config
+
+
 class TestModelFile:
     @given(models())
     @example(TrainedModel(np.ones((1, 1)), np.zeros(1), BaselineConfig("lpp", 1), [], 0, True))
     @example(TrainedModel(np.full((2, 1), -0.0), np.array([5e-324, 1e300]), BaselineConfig("pca", 1), [float("nan")], 1, True))
     @settings(deadline=None, max_examples=200)
-    def test_writer_matches_indented_json(self, model):
-        want = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
-        assert model_json(model) == want
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, model):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        assert path.read_text() == json.dumps(model_to_dict(model), sort_keys=True) + "\n"
+        assert_same_model(load_model(path), model)
+
+    @given(models())
+    @settings(deadline=None, max_examples=50)
+    def test_indented_file_of_earlier_releases_loads(self, tmp_path_factory, model):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        path.write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
+        assert_same_model(load_model(path), model)
+
+    def test_writing_holds_one_column_of_float_strings(self, tmp_path):
+        """The payload's floats take 32 bytes a value: a 24-byte float and an
+        8-byte list slot.  One json.dumps over the payload also holds a str
+        of about 70 bytes for every value until it returns, over 100 bytes a
+        value in all; writing the projection a column at a time holds those
+        strings for one column only, under 64 bytes a value in all here."""
+        rng = np.random.default_rng(0)
+        d, d_prime = 2576, 10
+        model = TrainedModel(rng.normal(size=(d, d_prime)), rng.normal(size=d), TrainConfig(K=5, d_prime=d_prime),
+                             [1.0], 1, False)
+        save_model(model, tmp_path / "warm.json")
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "model.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * d * (d_prime + 1)
 
     def test_schema_fields(self, tmp_path):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=0)
