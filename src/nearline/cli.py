@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from nearline.baselines import BaselineConfig
 from nearline.data import SplitSpec, feature_csv, load_csv, load_pgm_dir
-from nearline.evaluate import ExperimentError, fit_method, run_experiment, run_experiments
+from nearline.evaluate import CLASSIFIERS, ExperimentError, fit_method, run_experiment, run_experiments
 from nearline.model_io import atomic_write_text, load_model, save_model, save_report
 from nearline.nlp import TrainConfig, TrainingSplit, project
 
@@ -23,7 +23,14 @@ log = logging.getLogger(__name__)
 
 METHODS = ("nlp", "pca", "lpp")
 FORMATS = ("csv", "pgm-dir")
-CLASSIFIER_FLAGS = ("nn", "nearest-line")
+CLASSIFIER_FLAGS = tuple(name.replace("_", "-") for name in CLASSIFIERS)
+# the flags each command cannot run without, in the order they are checked
+REQUIRED = {
+    "train": ("data", "out", "dim"),
+    "project": ("data", "out", "model"),
+    "evaluate": ("data", "out", "train_frac", "dim"),
+    "compare": ("data", "out", "train_frac"),
+}
 
 
 class CliValidationError(ValueError):
@@ -37,65 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliValidationError(message)
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Parsed CLI invocation; ``to_flags`` reproduces the flag set exactly."""
-
-    command: str
-    data: str | None
-    format: str
-    label_col: str
-    method: str
-    methods: tuple[str, ...]
-    k: int
-    dim: int | None
-    dims: tuple[int, ...]
-    max_iters: int
-    tol: float
-    train_frac: float | None
-    repeats: int
-    seed: int
-    classifier: str
-    out: str | None
-    model: str | None
-    quiet: bool
-
-    def to_flags(self) -> list[str]:
-        """Canonical argv that parses back into this exact spec."""
-        flags = [self.command]
-        if self.data is not None:
-            flags += ["--data", self.data]
-        flags += ["--format", self.format, "--label-col", self.label_col]
-        flags += ["--method", self.method]
-        if self.methods:
-            flags += ["--methods", ",".join(self.methods)]
-        flags += ["--k", str(self.k)]
-        if self.dim is not None:
-            flags += ["--dim", str(self.dim)]
-        if self.dims:
-            flags += ["--dims", ",".join(str(v) for v in self.dims)]
-        flags += ["--max-iters", str(self.max_iters), "--tol", repr(self.tol)]
-        if self.train_frac is not None:
-            flags += ["--train-frac", repr(self.train_frac)]
-        flags += ["--repeats", str(self.repeats), "--seed", str(self.seed)]
-        flags += ["--classifier", self.classifier]
-        if self.out is not None:
-            flags += ["--out", self.out]
-        if self.model is not None:
-            flags += ["--model", self.model]
-        if self.quiet:
-            flags += ["--quiet"]
-        return flags
-
-    @staticmethod
-    def from_argv(argv) -> "RunSpec":
-        ns = _build_parser().parse_args(list(argv))
-        values = {f.name: getattr(ns, f.name) for f in fields(RunSpec)}
-        spec = RunSpec(**values)
-        _validate_spec(spec)
-        return spec
-
-
 def _csv_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
@@ -107,48 +55,82 @@ def _csv_int_list(text: str) -> tuple[int, ...]:
         raise CliValidationError(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
+def _flag(default, **argparse_kwargs):
+    """A flag's field: its default, and the rest of its ``add_argument`` call."""
+    return field(default=default, metadata=argparse_kwargs)
+
+
+def _flag_name(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Parsed CLI invocation.  Each field after ``command`` is one flag,
+    ``--<name>`` with ``-`` for ``_``: the field's default and metadata are
+    the flag's default and ``add_argument`` keywords.  ``to_flags``
+    reproduces the flag set exactly."""
+
+    command: str
+    data: str | None = _flag(None)
+    format: str = _flag("csv", choices=FORMATS)
+    label_col: str = _flag("last")
+    method: str = _flag("nlp", choices=METHODS)
+    methods: tuple[str, ...] = _flag((), type=_csv_list)
+    k: int = _flag(5, type=int)
+    dim: int | None = _flag(None, type=int)
+    dims: tuple[int, ...] = _flag((), type=_csv_int_list)
+    max_iters: int = _flag(TrainConfig.max_iters, type=int)
+    tol: float = _flag(TrainConfig.rel_tol, type=float)
+    train_frac: float | None = _flag(None, type=float)
+    repeats: int = _flag(SplitSpec.repeats, type=int)
+    seed: int = _flag(0, type=int)
+    classifier: str = _flag("nn", choices=CLASSIFIER_FLAGS)
+    out: str | None = _flag(None)
+    model: str | None = _flag(None)
+    quiet: bool = _flag(False, action="store_true")
+
+    def to_flags(self) -> list[str]:
+        """Canonical argv that parses back into this exact spec: every flag
+        in field order, except those holding None, () or False."""
+        flags = [self.command]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value is None or value is False or value == ():
+                continue
+            flags.append(_flag_name(f.name))
+            if isinstance(value, tuple):
+                flags.append(",".join(str(v) for v in value))
+            elif isinstance(value, float):
+                flags.append(repr(value))
+            elif value is not True:
+                flags.append(str(value))
+        return flags
+
+    @staticmethod
+    def from_argv(argv) -> "RunSpec":
+        ns = _build_parser().parse_args(list(argv))
+        spec = RunSpec(**{f.name: getattr(ns, f.name) for f in fields(RunSpec)})
+        _validate_spec(spec)
+        return spec
+
+
 def _build_parser() -> _Parser:
     shared = _Parser(add_help=False)
-    shared.add_argument("--data", default=None)
-    shared.add_argument("--format", choices=FORMATS, default="csv")
-    shared.add_argument("--label-col", dest="label_col", default="last")
-    shared.add_argument("--method", choices=METHODS, default="nlp")
-    shared.add_argument("--methods", type=_csv_list, default=())
-    shared.add_argument("--k", type=int, default=5)
-    shared.add_argument("--dim", type=int, default=None)
-    shared.add_argument("--dims", type=_csv_int_list, default=())
-    shared.add_argument("--max-iters", dest="max_iters", type=int, default=TrainConfig.max_iters)
-    shared.add_argument("--tol", type=float, default=TrainConfig.rel_tol)
-    shared.add_argument("--train-frac", dest="train_frac", type=float, default=None)
-    shared.add_argument("--repeats", type=int, default=SplitSpec.repeats)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--classifier", choices=CLASSIFIER_FLAGS, default="nn")
-    shared.add_argument("--out", default=None)
-    shared.add_argument("--model", default=None)
-    shared.add_argument("--quiet", action="store_true")
+    for f in fields(RunSpec)[1:]:
+        shared.add_argument(_flag_name(f.name), dest=f.name, default=f.default, **f.metadata)
 
     parser = _Parser(prog="nearline", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("train", "project", "evaluate", "compare"):
+    for command in REQUIRED:
         sub.add_parser(command, parents=[shared])
     return parser
 
 
 def _validate_spec(spec: RunSpec) -> None:
-    if spec.data is None:
-        raise CliValidationError(f"{spec.command} requires --data")
-    if spec.out is None:
-        raise CliValidationError(f"{spec.command} requires --out")
-    if spec.command == "project":
-        if spec.model is None:
-            raise CliValidationError("project requires --model")
-        return
-    if spec.command == "train" and spec.dim is None:
-        raise CliValidationError("train requires --dim")
-    if spec.command in ("evaluate", "compare") and spec.train_frac is None:
-        raise CliValidationError(f"{spec.command} requires --train-frac")
-    if spec.command == "evaluate" and spec.dim is None:
-        raise CliValidationError("evaluate requires --dim")
+    for name in REQUIRED[spec.command]:
+        if getattr(spec, name) is None:
+            raise CliValidationError(f"{spec.command} requires {_flag_name(name)}")
     if spec.command == "compare":
         if len(spec.methods) < 2:
             raise CliValidationError("compare requires --methods with at least 2 methods")

@@ -37,7 +37,7 @@ class EvalReport:
     std_accuracy: float
     method: str
     config_snapshot: dict
-    per_class_accuracy: dict[int, float] | None = None
+    per_class_accuracy: dict[int, float]
 
 
 def _query_block(T: np.ndarray, query) -> tuple[np.ndarray, bool]:
@@ -174,12 +174,8 @@ def fit_method(data: Dataset | TrainingSplit, method_config) -> TrainedModel:
     raise ValueError(f"unsupported config type {type(method_config).__name__}")
 
 
-def method_name(method_config) -> str:
-    return "nlp" if isinstance(method_config, TrainConfig) else method_config.method
-
-
 def _step(repeat: int, method_config) -> str:
-    return f"repeat {repeat}, {method_name(method_config)} d'={method_config.d_prime}"
+    return f"repeat {repeat}, {method_config.method} d'={method_config.d_prime}"
 
 
 def run_experiments(
@@ -238,7 +234,7 @@ def _report(method_config, labels: np.ndarray, hits: list, split: SplitSpec, cla
         per_repeat_accuracy=accuracies,
         mean_accuracy=float(np.mean(accuracies)),
         std_accuracy=float(np.std(accuracies)),
-        method=method_name(method_config),
+        method=method_config.method,
         config_snapshot={
             "method_config": config_to_dict(method_config),
             "split": asdict(split),

@@ -50,11 +50,9 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def config_to_dict(config) -> dict:
-    if isinstance(config, TrainConfig):
-        return {"method": "nlp", **asdict(config)}
-    if isinstance(config, BaselineConfig):
-        return asdict(config)
-    raise ValueError(f"unsupported config type {type(config).__name__}")
+    if not isinstance(config, (TrainConfig, BaselineConfig)):
+        raise ValueError(f"unsupported config type {type(config).__name__}")
+    return {"method": config.method, **asdict(config)}
 
 
 def config_from_dict(payload: dict):
@@ -146,16 +144,13 @@ def load_model(path) -> TrainedModel:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    per_class = report.per_class_accuracy
     return {
         "per_repeat_accuracy": [float(v) for v in report.per_repeat_accuracy],
         "mean_accuracy": float(report.mean_accuracy),
         "std_accuracy": float(report.std_accuracy),
         "method": report.method,
         "config_snapshot": report.config_snapshot,
-        "per_class_accuracy": (
-            {str(k): float(v) for k, v in per_class.items()} if per_class is not None else None
-        ),
+        "per_class_accuracy": {str(k): float(v) for k, v in report.per_class_accuracy.items()},
     }
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,6 +41,7 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     """Hyperparameters of nearest-line projection training."""
 
+    method: ClassVar[str] = "nlp"
     K: int
     d_prime: int
     max_iters: int = 50

@@ -72,6 +72,47 @@ class TestRunSpecRoundTrip:
         assert main(["train", "--data", "x.csv", "--dim", "2"]) == 1
         assert "--out" in capsys.readouterr().err
 
+    # for each command, an argv holding every flag it cannot run without
+    COMPLETE = {
+        "train": ["--data", "x.csv", "--out", "m.json", "--dim", "2"],
+        "project": ["--data", "x.csv", "--out", "y.csv", "--model", "m.json"],
+        "evaluate": ["--data", "x.csv", "--out", "r.json", "--train-frac", "0.5", "--dim", "2"],
+        "compare": ["--data", "x.csv", "--out", "c.csv", "--train-frac", "0.5", "--methods", "nlp,pca", "--dims", "2"],
+    }
+
+    @staticmethod
+    def _without(flags, flag):
+        i = flags.index(flag)
+        return flags[:i] + flags[i + 2:]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("train", "--data"), ("train", "--out"), ("train", "--dim"),
+            ("project", "--data"), ("project", "--out"), ("project", "--model"),
+            ("evaluate", "--data"), ("evaluate", "--out"), ("evaluate", "--train-frac"), ("evaluate", "--dim"),
+            ("compare", "--data"), ("compare", "--out"), ("compare", "--train-frac"), ("compare", "--dims"),
+        ],
+    )
+    def test_missing_flag_message(self, capsys, command, flag):
+        assert main([command, *self._without(self.COMPLETE[command], flag)]) == 1
+        assert capsys.readouterr().err == f"error: {command} requires {flag}\n"
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            (None, "compare requires --methods with at least 2 methods"),
+            ("nlp", "compare requires --methods with at least 2 methods"),
+            ("nlp,svd,pca,ica", "unknown methods: ['svd', 'ica'] (choose from ('nlp', 'pca', 'lpp'))"),
+        ],
+    )
+    def test_compare_methods_message(self, capsys, methods, message):
+        flags = self._without(self.COMPLETE["compare"], "--methods")
+        if methods is not None:
+            flags += ["--methods", methods]
+        assert main(["compare", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_every_setting_has_a_flag(self):
         # every flag takes a value other than its default; every field of the
         # configs the run builds must hold what its flag gave, so a field no
@@ -222,6 +263,24 @@ class TestEvaluateCommand:
         ])
         assert code == 0
         assert "accuracy: 1.0000 ± 0.0000" in capsys.readouterr().out
+
+    def test_label_column_by_index_and_by_name(self, tmp_path, capsys):
+        # the same rows with the label first under a header: --label-col 0
+        # and --label-col label read what --label-col last reads of the
+        # label-last file, so the reports match byte for byte
+        ds = gaussian_blobs(n_per_class=12, n_classes=3, d=8, seed=0)
+        last, first = tmp_path / "last.csv", tmp_path / "first.csv"
+        save_csv(ds, last)
+        header = "label," + ",".join(f"f{j}" for j in range(ds.d))
+        rows = [f"{int(y)}," + ",".join(repr(float(v)) for v in x) for x, y in zip(ds.features, ds.labels)]
+        first.write_text("\n".join([header, *rows]) + "\n")
+        args = ["evaluate", "--method", "pca", "--dim", "3", "--train-frac", "0.5", "--repeats", "3", "--quiet"]
+        reports = []
+        for data, label_col in ((last, "last"), (first, "0"), (first, "label")):
+            out = tmp_path / f"{data.stem}-{label_col}.json"
+            assert main([*args, "--data", str(data), "--label-col", label_col, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_requires_train_frac(self, blob_csv, tmp_path, capsys):
         code = main([

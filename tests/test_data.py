@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import gapped_labels
 from nearline import data
+from nearline.cli import main
 from nearline.data import (
     DataFormatError,
     Dataset,
@@ -46,6 +47,24 @@ class TestDataset:
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError, match="exactly 3"):
             Dataset(np.ones((3, 2)), np.array([0, 1]))
+
+    def test_integral_float_labels_become_int64(self):
+        ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, 2.0])
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [
+            (np.zeros((3, 2)), [0.0, 0.5, 1.0], "labels must be integers"),
+            (np.zeros((2, 2, 2)), [0, 1], "features must be 2-D, got shape (2, 2, 2)"),
+            (np.zeros((3, 0)), [0, 1, 1], "need at least 1 feature dimension"),
+        ],
+    )
+    def test_rejects_malformed_input(self, features, labels, message):
+        with pytest.raises(ValueError) as err:
+            Dataset(features, labels)
+        assert str(err.value) == message
 
     def test_arrays_are_read_only(self):
         ds = Dataset(np.ones((2, 2)), np.array([0, 1]))
@@ -301,6 +320,75 @@ class TestPgm:
         bad.write_text(f"P2\n2 2 255\n{samples}\n")
         with pytest.raises(DataFormatError, match=r"sample value outside \[0, maxval 255\]"):
             load_pgm(bad)
+
+
+class TestLoaderErrors:
+    """Each malformed input raises with a message naming the problem, and
+    ``nearline train`` exits 1 on it (2 on a missing directory)."""
+
+    @staticmethod
+    def _train(capsys, tmp_path, *flags):
+        code = main(["train", *flags, "--dim", "1", "--out", str(tmp_path / "m.json")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, label_col, message",
+        [
+            ("\n\n", "last", "file contains no rows"),
+            ("a,b,label\n1,2\n3,4\n", "last", "header has 3 columns, data rows have 2"),
+            ("1,2,0\n3,4,1\n", "label", "label column 'label' given by name but the file has no header"),
+            ("a,b,label\n1,2,0\n3,4,1\n", "target", "no column named 'target' in header"),
+            ("1,2,0\n3,4,1\n", 5, "label column index 5 out of range for width 3"),
+            ("1,2,0\n3,4,1\n", -4, "label column index -1 out of range for width 3"),
+        ],
+    )
+    def test_csv(self, tmp_path, capsys, text, label_col, message):
+        path = write(tmp_path / "x.csv", text)
+        message = f"{path}: {message}"
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path, label_col)
+        assert str(err.value) == message
+        code, stderr = self._train(capsys, tmp_path, "--data", str(path), f"--label-col={label_col}")
+        assert (code, stderr) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"P5\n4 4\n", "corrupt PGM header: truncated"),
+            (b"P5\nx 4\n255\n", "corrupt PGM header: non-numeric dimensions"),
+            (b"P5\n0 4\n255\n", "corrupt PGM header: width=0 height=4 maxval=255"),
+            (b"P2\n2 2\n0\n0 0 0 0\n", "corrupt PGM header: width=2 height=2 maxval=0"),
+            (b"P2\n2 2\n255\n1 2 3\n", "expected 4 ASCII samples, found 3"),
+            (b"P2\n2 2\n255\n1 2 x 4\n", "bad ASCII sample: invalid literal for int() with base 10: b'x'"),
+        ],
+    )
+    def test_pgm(self, tmp_path, capsys, raw, message):
+        (tmp_path / "faces" / "c0").mkdir(parents=True)
+        path = tmp_path / "faces" / "c0" / "a.pgm"
+        path.write_bytes(raw)
+        message = f"{path}: {message}"
+        with pytest.raises(DataFormatError) as err:
+            load_pgm(path)
+        assert str(err.value) == message
+        code, stderr = self._train(capsys, tmp_path, "--data", str(tmp_path / "faces"), "--format", "pgm-dir")
+        assert (code, stderr) == (1, f"error: {message}\n")
+
+    def test_pgm_dir_missing(self, tmp_path, capsys):
+        root = tmp_path / "nope"
+        with pytest.raises(FileNotFoundError) as err:
+            load_pgm_dir(root)
+        assert str(err.value) == f"no such directory: {root}"
+        code, stderr = self._train(capsys, tmp_path, "--data", str(root), "--format", "pgm-dir")
+        assert (code, stderr) == (2, f"error: no such directory: {root}\n")
+
+    def test_pgm_dir_without_class_directories(self, tmp_path, capsys):
+        make_pgm(tmp_path / "stray.pgm", 2, 2)
+        message = f"{tmp_path}: no class subdirectories found"
+        with pytest.raises(DataFormatError) as err:
+            load_pgm_dir(tmp_path)
+        assert str(err.value) == message
+        code, stderr = self._train(capsys, tmp_path, "--data", str(tmp_path), "--format", "pgm-dir")
+        assert (code, stderr) == (1, f"error: {message}\n")
 
 
 class TestCenter:

@@ -12,6 +12,7 @@ from nearline.baselines import BaselineConfig, train_pca
 from nearline.data import SplitSpec
 from nearline.evaluate import run_experiment
 from nearline.model_io import (
+    atomic_open,
     atomic_write_text,
     config_from_dict,
     config_to_dict,
@@ -302,4 +303,17 @@ class TestAtomicWrite:
         atomic_write_text(target, "first")
         atomic_write_text(target, "second")
         assert target.read_text() == "second"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_block_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old contents\n")
+        with pytest.raises(RuntimeError, match="^interrupted$"):
+            with atomic_open(target) as fh:
+                fh.write("new contents, half written")
+                fh.flush()
+                assert len(list(tmp_path.glob(".out.txt.*.tmp"))) == 1
+                raise RuntimeError("interrupted")
+        assert not list(tmp_path.glob(".out.txt.*.tmp"))
+        assert target.read_bytes() == b"old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
