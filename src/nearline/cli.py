@@ -31,6 +31,8 @@ REQUIRED = {
     "evaluate": ("data", "out", "train_frac", "dim"),
     "compare": ("data", "out", "train_frac"),
 }
+# the suffix of the second file a command writes beside --out
+SIBLINGS = {"train": ".trace.csv", "evaluate": ".csv", "compare": ".table.txt"}
 
 
 class CliValidationError(ValueError):
@@ -139,6 +141,11 @@ def _validate_spec(spec: RunSpec) -> None:
             raise CliValidationError(f"unknown methods: {unknown} (choose from {METHODS})")
         if not spec.dims:
             raise CliValidationError("compare requires --dims")
+    if spec.command in SIBLINGS and _sibling_path(spec) == Path(spec.out):
+        raise CliValidationError(
+            f"{spec.command} would write --out {spec.out} and its sibling {_sibling_path(spec)} "
+            f"to one file; choose an --out that does not end in {SIBLINGS[spec.command]}"
+        )
 
 
 def _load_dataset(spec: RunSpec):
@@ -165,9 +172,9 @@ def _split_spec(spec: RunSpec) -> SplitSpec:
     return SplitSpec(train_fraction=spec.train_frac, seed=spec.seed, repeats=spec.repeats)
 
 
-def _sibling_path(out, suffix: str) -> Path:
-    out = Path(out)
-    return out.with_name(out.stem + suffix)
+def _sibling_path(spec: RunSpec) -> Path:
+    out = Path(spec.out)
+    return out.with_name(out.stem + SIBLINGS[spec.command])
 
 
 def _classifier_name(spec: RunSpec) -> str:
@@ -180,7 +187,7 @@ def _cmd_train(spec: RunSpec) -> None:
     # nothing keeps the loaded dataset once it is centered
     model = fit_method(TrainingSplit(_load_dataset(spec)), config)
     save_model(model, spec.out)
-    trace_path = _sibling_path(spec.out, ".trace.csv")
+    trace_path = _sibling_path(spec)
     trace_lines = ["iteration,objective"]
     start = 1 if model.iterations_run > 0 else 0
     for i, value in enumerate(model.objective_trace):
@@ -203,7 +210,7 @@ def _cmd_evaluate(spec: RunSpec) -> None:
     split = _split_spec(spec)
     dataset = _load_dataset(spec)
     report = run_experiment(dataset, config, split, _classifier_name(spec))
-    save_report(report, spec.out, _sibling_path(spec.out, ".csv"))
+    save_report(report, spec.out, _sibling_path(spec))
     print(f"accuracy: {report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
 
 
@@ -227,7 +234,7 @@ def _cmd_compare(spec: RunSpec) -> None:
         cells = " ".join(f"{means[(m, dim)]:.4f}" for m in spec.methods)
         table_lines.append(f"{dim} {cells}")
     table = "\n".join(table_lines) + "\n"
-    table_path = _sibling_path(spec.out, ".table.txt")
+    table_path = _sibling_path(spec)
     atomic_write_text(table_path, table)
     if not spec.quiet:
         print(table, end="")

@@ -17,7 +17,7 @@ from nearline.baselines import BaselineConfig, train_lpp, train_pca
 from nearline.data import Dataset, SplitSpec, class_groups, split_indices
 from nearline.geometry import blocks, line_gaps, nearest_candidates, nearest_rows, project_onto_lines
 from nearline.model_io import config_to_dict
-from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, project, train
+from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit, train
 
 log = logging.getLogger(__name__)
 
@@ -183,13 +183,17 @@ def run_experiments(
 ) -> list[EvalReport]:
     """Repeated random-split evaluation of several methods on the same splits.
 
-    For every repeat: split, center the train split once as a
+    For every repeat: split, gather and center the train rows once as a
     ``TrainingSplit`` that every config's fit shares (the centering mean and
     each projection are functions of the train split only), project both
     splits, classify every test sample with the chosen classifier, and
     record the accuracy.  One report per config, in order: the arithmetic
     mean and the population standard deviation over repeats, plus aggregate
     per-class accuracy pooled across all repeats.
+
+    Each side's rows are gathered once, centered in place and projected by
+    every model, ``(x - mean) @ W`` as in ``project``, then dropped before
+    the next side is gathered; classification reads only the projections.
     """
     if classifier not in CLASSIFIERS:
         raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
@@ -200,27 +204,33 @@ def run_experiments(
         where = f"repeat {r}"  # the step a failure is reported against
         try:
             train_idx, test_idx = split_indices(dataset.labels, split, r)
-            # the fits hold only the split's centered copy of the train rows;
-            # the raw rows of both sides are gathered once the fits are done
-            shared = TrainingSplit(dataset.subset(train_idx))
+            shared = TrainingSplit(dataset, train_idx)
             models = []
             for config in method_configs:
                 where = _step(r, config)
                 models.append(fit_method(shared, config))
+            train_projected = []
+            for i, config in enumerate(method_configs):
+                where = _step(r, config)
+                train_projected.append(shared.features @ models[i].projection)
+            mean = shared.mean_vector
             del shared
             where = f"repeat {r}"
-            train_ds = dataset.subset(train_idx)
-            # plain arrays, not a Dataset: a split may leave a single test row
-            test_x, test_y = dataset.features[test_idx], dataset.labels[test_idx]
-            test_labels.append(test_y)
-            for config, model, config_hits in zip(method_configs, models, hits):
+            test_x = dataset.features[test_idx]  # 2-D even when a split leaves one test row
+            test_x -= mean
+            test_projected = []
+            for i, config in enumerate(method_configs):
                 where = _step(r, config)
-                predicted = classify(project(model, train_ds.features), train_ds.labels, project(model, test_x))
-                config_hits.append(predicted == test_y)
+                test_projected.append(test_x @ models[i].projection)
+            del test_x, models  # the loops index models, so no loop variable keeps one alive
+            train_y, test_y = dataset.labels[train_idx], dataset.labels[test_idx]
+            test_labels.append(test_y)
+            for config, T, Q, config_hits in zip(method_configs, train_projected, test_projected, hits):
+                where = _step(r, config)
+                config_hits.append(classify(T, train_y, Q) == test_y)
                 log.debug("%s: accuracy %.4f", where, np.mean(config_hits[-1]))
         except Exception as exc:
             raise ExperimentError(f"{where} failed: {exc}") from exc
-        del train_ds, test_x, models  # freed before the next split is built
     labels = np.concatenate(test_labels)
     return [_report(config, labels, config_hits, split, classifier) for config, config_hits in zip(method_configs, hits)]
 

@@ -137,15 +137,18 @@ def build_neighbor_lines(dataset, K: int) -> NeighborLineIndex:
 class TrainingSplit:
     """A training set centered once, the package's only centering step:
     ``mean_vector`` is the column mean of the rows and ``features`` the
-    read-only rows minus it.  One eigendecomposition of its smaller Gram
-    matrix (``linalg.gram_eigh``) and the neighbor/line index per K are
-    computed on first use and shared by every fit on the split; each fit
-    lifts from the eigendecomposition only the input-space columns it
-    returns."""
+    read-only rows minus it.  Given ``rows``, an index into the dataset, the
+    split gathers those rows once and centers that copy in place, which
+    gives the same bits as centering ``dataset.subset(rows)``.  One
+    eigendecomposition of its smaller Gram matrix (``linalg.gram_eigh``) and
+    the neighbor/line index per K are computed on first use and shared by
+    every fit on the split; each fit lifts from the eigendecomposition only
+    the input-space columns it returns."""
 
-    def __init__(self, dataset: Dataset):
-        self.mean_vector = dataset.features.mean(axis=0)
-        self.features = dataset.features - self.mean_vector
+    def __init__(self, dataset: Dataset, rows=None):
+        X = dataset.features if rows is None else dataset.features[rows]
+        self.mean_vector = X.mean(axis=0)
+        self.features = np.subtract(X, self.mean_vector, out=None if rows is None else X)
         self.mean_vector.setflags(write=False)
         self.features.setflags(write=False)
         self._neighbor_lines: dict[int, NeighborLineIndex] = {}
@@ -179,8 +182,9 @@ def _line_pass(X: np.ndarray, W: np.ndarray, triples):
     projected residual ``rho = (y_i - y_k) - alpha * (y_j - y_k)``; lines
     whose projected endpoints (nearly) coincide are masked out for this W
     only, and the objective sums the squared residuals of the kept lines.
-    Both the objective of W and the scatter operator built under W are read
-    from this one pass; the residuals themselves are not kept.  The lines are
+    The objective of W and the coefficients the scatter operator under W is
+    summed from (``_scatter_of``) come from this one pass; the residuals
+    themselves are not kept.  The lines are
     gathered and projected one ``geometry.blocks`` slice at a time and the
     objective is summed per slice, so besides the per-line coefficients and
     mask only temporaries of at most ``geometry.BLOCK_ELEMENTS`` elements
@@ -282,7 +286,8 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     (r x min(d', r)): each iteration assembles the r x r scatter operator
     under the current projection, replaces the projection through the eigen
     step, and records the objective of the new one.  One line pass per
-    projection gives both its objective and the next operator.  The
+    projection gives its objective and the coefficients from which a second
+    blocked pass sums the next operator.  The
     objective does not rise unless the degenerate-line mask changes between
     two projections; such a change is logged at DEBUG level.  Training stops
     when the relative objective change drops below ``rel_tol`` or after

@@ -289,6 +289,20 @@ class TestEvaluateCommand:
         assert code == 1
         assert "--train-frac" in capsys.readouterr().err
 
+    def test_out_that_names_the_csv_sibling_exits_1(self, blob_csv, tmp_path, capsys):
+        # the report CSV goes to <stem>.csv, so --out r.csv would have the CSV
+        # overwrite the JSON report
+        out = tmp_path / "r.csv"
+        code = main([
+            "evaluate", "--data", str(blob_csv), "--method", "pca", "--dim", "2",
+            "--train-frac", "0.5", "--repeats", "2", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--out {out} and its sibling {out} to one file" in err
+        assert "does not end in .csv" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [blob_csv.name]
+
 
 class TestCompareCommand:
     def test_row_count_and_table(self, blob_csv, tmp_path, capsys):

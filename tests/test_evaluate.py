@@ -21,7 +21,7 @@ from nearline.evaluate import (
 )
 from nearline.geometry import DEGENERACY_RTOL, DegenerateLineError, point_line_sqdist, project_onto_lines
 from nearline.model_io import report_json
-from nearline.nlp import TrainConfig, k_nearest_neighbors
+from nearline.nlp import TrainConfig, TrainingSplit, k_nearest_neighbors, project
 from nearline.synthetic import gaussian_blobs, manifold_classes, separable_clusters
 
 
@@ -626,6 +626,79 @@ class TestRunExperiments:
             run_experiments(manifold_classes(**self.DATA), pca_only, self.SPLIT)
         repeats = self.SPLIT.repeats
         assert (eigh.call_count, svd.call_count, rs.call_count, knn.call_count) == (repeats, 0, repeats, 0)
+
+    @pytest.mark.parametrize("classifier", evaluate.CLASSIFIERS)
+    @pytest.mark.parametrize(
+        "ds, split",
+        [
+            (gaussian_blobs(n_per_class=10, n_classes=3, d=8, seed=12), SplitSpec(0.5, 5, 3)),
+            # 9 rows in 3 classes at 0.85 keep 8 rows for training and test 1
+            (separable_clusters(n_per_class=3, n_classes=3, seed=4), SplitSpec(0.85, 0, 2)),
+        ],
+        ids=["blobs", "one-test-row"],
+    )
+    def test_hits_match_a_loop_over_the_public_pieces(self, ds, split, classifier):
+        """Each repeat's classifier inputs and hits equal those of a loop
+        that fits every config on ``TrainingSplit(dataset.subset(train_idx))``
+        and projects both sides with ``project``."""
+        configs = [TrainConfig(K=4, d_prime=3, max_iters=4), BaselineConfig("pca", 3), BaselineConfig("lpp", 3, K=4)]
+        name = "classify_1nn" if classifier == "nn" else "classify_nearest_line"
+        classify_rows = getattr(evaluate, name)
+        calls = []
+
+        def spy(T, labels, Q):
+            calls.append((T, labels, Q))
+            return classify_rows(T, labels, Q)
+
+        with mock.patch.object(evaluate, name, spy):
+            reports = run_experiments(ds, configs, split, classifier)
+        want_calls, want_accuracy = [], [[] for _ in configs]
+        for r in range(split.repeats):
+            train_idx, test_idx = split_indices(ds.labels, split, r)
+            train = ds.subset(train_idx)
+            shared = TrainingSplit(train)
+            for config, accuracy in zip(configs, want_accuracy):
+                model = evaluate.fit_method(shared, config)
+                T, Q = project(model, train.features), project(model, ds.features[test_idx])
+                want_calls.append((T, train.labels, Q))
+                accuracy.append(float(np.mean(classify_rows(T, train.labels, Q) == ds.labels[test_idx])))
+        assert len(calls) == len(want_calls)
+        for got, want in zip(calls, want_calls):
+            for got_array, want_array in zip(got, want):
+                assert got_array.dtype == want_array.dtype and np.array_equal(got_array, want_array)
+        assert [report.per_repeat_accuracy for report in reports] == want_accuracy
+
+    @pytest.mark.parametrize("classifier", evaluate.CLASSIFIERS)
+    @pytest.mark.parametrize(
+        "configs",
+        [[BaselineConfig("pca", 5)], [TrainConfig(K=5, d_prime=5, max_iters=3), BaselineConfig("pca", 5)]],
+        ids=["pca", "nlp+pca"],
+    )
+    def test_a_repeat_holds_one_side_of_rows_at_a_time(self, configs, classifier):
+        """n = 120 rows of d = 5000 in 10 classes, split 0.5, 2 repeats: one
+        side of a split is n/2 x d floats, 60 * 5000 * 8 B = 2.4 MB.
+
+        A repeat gathers the train rows once and centers them in place as the
+        split the fits share; it gathers and centers the test rows only once
+        the split is dropped, so one side (1 copy) is alive at a time.  Beside
+        it a fit holds at most the nlp scatter's three gathered blocks of 600
+        lines x r = 59 coordinates (0.28 MB each, 0.35 copies) with n x n
+        Gram pieces (29 KB each), or a lift's d x d' arrays (0.2 MB each, at
+        most three beside the models already fitted).  The classifiers read
+        only the (rows x d') projections.  The peak is about 1.55 copies,
+        under 2 (4.8 MB).  Gathering the train rows again beside the test rows
+        and ``project``'s centered temporary holds 3.1 copies.
+        """
+        n, d = 120, 5000
+        ds = Dataset(np.random.default_rng(16).normal(size=(n, d)), np.repeat(np.arange(10), n // 10))
+        side = n // 2 * d * 8
+        tracemalloc.start()
+        try:
+            run_experiments(ds, configs, SplitSpec(0.5, 0, 2), classifier)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * side, peak / side
 
     def test_failing_config_reports_repeat(self):
         ds = gaussian_blobs(n_per_class=4, n_classes=2, d=10, seed=7)
