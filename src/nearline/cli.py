@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from nearline.baselines import BaselineConfig
 from nearline.data import SplitSpec, feature_csv, load_csv, load_pgm_dir
 from nearline.evaluate import CLASSIFIERS, ExperimentError, fit_method, run_experiment, run_experiments
@@ -200,7 +202,13 @@ def _cmd_train(spec: RunSpec) -> None:
 def _cmd_project(spec: RunSpec) -> None:
     model = load_model(spec.model)
     dataset = _load_dataset(spec)
-    atomic_write_text(spec.out, feature_csv(project(model, dataset.features), dataset.labels))
+    # a model file may hold NaN or Infinity (load_model reads them back), and
+    # finite values may overflow: load_csv rejects a non-finite projected row
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = project(model, dataset.features)
+    if not np.isfinite(rows).all():
+        raise CliValidationError(f"model file {spec.model} projects rows to non-finite values")
+    atomic_write_text(spec.out, feature_csv(rows, dataset.labels))
     if not spec.quiet:
         print(f"wrote {spec.out}")
 

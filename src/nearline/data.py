@@ -168,7 +168,11 @@ def load_csv(path, label_column="last") -> Dataset:
 
 def _parse_bulk(lines: list[str], width: int, label_idx: int):
     """(features, labels) from numpy's parser, or None when the cell-by-cell
-    parser must decide."""
+    parser must decide.  A file of one column, which has no feature column
+    to split the label from, goes to the cell parser and on to ``Dataset``'s
+    check."""
+    if width < 2:
+        return None
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:

@@ -118,15 +118,18 @@ def nearest_candidates(screens, rescore, scale: np.ndarray, dim: int, K: int = 1
     slack = SCREEN_SLACK * (dim + 2) * np.finfo(float).eps * scale
     low = np.full((scale.size, K), np.inf)  # each query's K smallest screened values so far
     low[~np.isfinite(slack)] = -np.inf  # non-finite rows or queries: keep nothing
-    kept = []
-    for rows, start, screen in screens:
+
+    def keep(rows, start, screen):
         smallest = (screen.min(axis=1, keepdims=True) if K == 1  # 7x faster than a partition
                     else np.partition(screen, min(K, screen.shape[1]) - 1, axis=1)[:, :K])
         low[rows] = np.sort(np.hstack([low[rows], smallest]), axis=1)[:, :K]
         # fewer than K finite screens so far: keep every finite one
         bound = np.minimum(low[rows, -1] + slack[rows], np.finfo(float).max)
         q, c = np.nonzero(screen <= bound[:, None])
-        kept.append((q + rows.start, c + start, screen[q, c]))
+        return q + rows.start, c + start, screen[q, c]
+
+    # a block and its partition go with keep's frame: none lives on into the rescore
+    kept = [keep(*block) for block in screens]
     if np.isposinf(low[:, 0]).all():
         raise ValueError("all candidates are degenerate")
     q, c, screened = (np.concatenate(parts) for parts in zip(*kept))

@@ -31,12 +31,23 @@ def orient_columns(V: np.ndarray) -> np.ndarray:
 
 
 def sym_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (symmetrized) matrix, eigenvalues ascending."""
+    """Eigendecomposition of the symmetric part ``(M + M^T) / 2`` of a square
+    matrix, eigenvalues ascending.
+
+    An exactly symmetric M equals its symmetric part bit for bit, so it goes
+    to ``eigh`` as it is; only a matrix that fails ``M == M^T`` is
+    symmetrized, into a copy of its size.  Both callers pass symmetric
+    matrices: ``gram_eigh`` a product of contiguous rows with their own
+    transpose, which numpy forms exactly symmetric, and ``nlp.eigen_step``
+    a symmetrized scatter operator.  The test costs one boolean array of
+    M's shape, an eighth of the copy it saves.
+    """
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         raise ValueError("eigendecomposition input contains non-finite values")
-    sym = (M + M.T) / 2.0
-    return np.linalg.eigh(sym)
+    if not (M == M.T).all():
+        M = (M + M.T) / 2.0
+    return np.linalg.eigh(M)
 
 
 @dataclass(frozen=True)

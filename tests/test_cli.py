@@ -228,6 +228,42 @@ class TestProjectCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("key", "value", "cell"),
+        [
+            ("mean_vector", float("nan"), None),
+            ("projection_columns", float("inf"), None),
+            ("projection_columns", float("-inf"), None),
+            # a finite model and finite rows: x - mean overflows to -inf
+            ("mean_vector", 1e308, -1e308),
+        ],
+    )
+    def test_non_finite_projection_exits_1(self, blob_csv, tmp_path, capsys, key, value, cell):
+        # load_model reads NaN and Infinity back, but a CSV of non-finite
+        # projected rows is one load_csv rejects: nothing is written
+        model_path = tmp_path / "m.json"
+        assert main([
+            "train", "--data", str(blob_csv), "--method", "pca", "--dim", "2",
+            "--out", str(model_path), "--quiet",
+        ]) == 0
+        payload = json.loads(model_path.read_text())
+        if key == "mean_vector":
+            payload[key][0] = value
+        else:
+            payload[key][1][3] = value
+        model_path.write_text(json.dumps(payload))
+        data = blob_csv
+        if cell is not None:
+            data = tmp_path / "huge.csv"
+            data.write_text("".join(",".join([repr(cell)] * 8 + [str(label)]) + "\n" for label in range(3)))
+        out = tmp_path / "projected.csv"
+        code = main([
+            "project", "--data", str(data), "--model", str(model_path), "--out", str(out), "--quiet",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: model file {model_path} projects rows to non-finite values\n"
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_prints_fixed_accuracy_format(self, separable_csv, tmp_path, capsys):

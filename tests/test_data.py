@@ -214,6 +214,12 @@ class TestLoadCsvBulkParse:
         with pytest.raises(DataFormatError, match=message):
             load_csv(path)
 
+    def test_one_column_file_has_no_features(self, tmp_path):
+        # no feature column to read: a ValueError, so the CLI exits 1
+        path = write(tmp_path / "x.csv", "0\n1\n")
+        with pytest.raises(ValueError, match="need at least 1 feature dimension"):
+            load_csv(path)
+
 
 def make_pgm(path, width, height, maxval=255, binary=True, value=None):
     pixels = np.arange(width * height) % (maxval + 1) if value is None else np.full(width * height, value)

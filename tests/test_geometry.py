@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from nearline.geometry import (
     line_alpha,
     line_residual,
     nearest_candidates,
+    nearest_rows,
     point_line_sqdist,
     project_onto_lines,
 )
@@ -313,3 +315,29 @@ class TestNearestCandidates:
             else:
                 got = nearest_candidates(screens(), rescore, scale, T.shape[1], K)
                 assert got.tolist() == want
+
+    def test_no_screen_block_outlives_the_screen_pass(self):
+        """``nearest_rows(X, K=5)`` on n = 200 rows of d = 2576.
+
+        The screen is one n x n block (n^2 <= ``BLOCK_ELEMENTS``); building it
+        holds two n x n arrays, and the K-partition then holds a third beside
+        the block and its boolean keep-mask.  The rescore pass gathers the
+        kept candidates' rows ``T[c]`` and queries ``Q[q]`` in blocks of
+        ``BLOCK_ELEMENTS // d`` = 25 rows, two at once (numpy writes their
+        difference and its square into the first): 2 x 25 x 2576 = 3.22 n^2,
+        plus the per-candidate indices and distances, 3.46 n^2 in all.  The
+        bound is that pair of blocks and one n x n array, 4.22 n^2.  The last
+        screen block and its partition copy, kept alive through the rescore
+        pass, add 2 n^2: 5.47 n^2.
+        """
+        n, d = 200, 2576
+        X = np.random.default_rng(9).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            nearest = nearest_rows(X, K=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nearest.shape == (n, 5)
+        rows = geometry.BLOCK_ELEMENTS // d
+        assert peak < (2 * rows * d + n * n) * 8, peak / (n * n * 8)
