@@ -46,17 +46,17 @@ def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
     """Top principal directions of the centered data, deterministic signs.
 
     The directions are the split's principal basis: only these ``d_prime``
-    columns are lifted from its one eigendecomposition of the smaller Gram
-    matrix (``linalg.gram_eigh``), the basis that nlp training starts from;
-    past the rank of the data they are completed with unit directions
-    orthogonal to every training row.
+    columns are lifted (``GramEigen.lift``) from its one eigendecomposition
+    of the smaller Gram matrix (``linalg.gram_eigh``), the basis that nlp
+    training starts from; past the rank of the data they are completed with
+    unit directions orthogonal to every training row.
     """
     split = TrainingSplit.of(data)
     n, d = split.features.shape
     if not 1 <= d_prime <= min(n - 1, d):
         raise ValueError(f"d_prime must be in [1, {min(n - 1, d)}] for PCA, got {d_prime}")
     return TrainedModel(
-        projection=split.principal_basis(d_prime),
+        projection=split.gram.lift(np.eye(min(d_prime, split.gram.rank)), d_prime),
         mean_vector=split.mean_vector,
         config=BaselineConfig(method="pca", d_prime=d_prime),
         objective_trace=[],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -243,6 +244,11 @@ def _read_pgm_tokens(data: bytes, path, count: int, offset: int) -> list[int]:
         raise DataFormatError(f"{path}: bad ASCII sample: {exc}") from None
 
 
+# one header field: the whitespace and ``#`` comments before it, then its bytes
+# (empty only at the end of the file)
+_PGM_HEADER_FIELD = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
+
+
 def load_pgm(path) -> tuple[np.ndarray, int]:
     """Read a binary (P5) or ASCII (P2) PGM image.
 
@@ -255,21 +261,12 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
     # Header: magic, width, height, maxval, separated by whitespace/comments.
     pos = 0
     fields = []
-    while len(fields) < 4:
-        if pos >= len(data):
+    for _ in range(4):
+        match = _PGM_HEADER_FIELD.match(data, pos)
+        if not match[1]:
             raise DataFormatError(f"{path}: corrupt PGM header: truncated")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace() and data[end : end + 1] != b"#":
-                end += 1
-            fields.append(data[pos:end])
-            pos = end
+        fields.append(match[1])
+        pos = match.end()
     magic = fields[0].decode("ascii", errors="replace")
     if magic not in ("P2", "P5"):
         raise DataFormatError(f"{path}: corrupt PGM header: bad magic {magic!r}")

@@ -15,9 +15,11 @@ def orient_columns(V: np.ndarray) -> np.ndarray:
     A component counts as nonzero above 1e-12 in magnitude; a column with
     none takes the sign of its largest component.  Eigenvectors and singular
     vectors are only defined up to sign; this makes every decomposition in
-    the package deterministic.
+    the package deterministic.  The result is a fresh column-major array,
+    the layout ``model_io.load_model`` gives a projection, and V is left as
+    it is.
     """
-    V = np.array(V, dtype=float)
+    V = np.array(V, dtype=float, order="F")
     if V.shape[1] == 0:
         return V
     cols = np.arange(V.shape[1])
@@ -36,11 +38,12 @@ def sym_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     An exactly symmetric M equals its symmetric part bit for bit, so it goes
     to ``eigh`` as it is; only a matrix that fails ``M == M^T`` is
-    symmetrized, into a copy of its size.  Both callers pass symmetric
-    matrices: ``gram_eigh`` a product of contiguous rows with their own
-    transpose, which numpy forms exactly symmetric, and ``nlp.eigen_step``
-    a symmetrized scatter operator.  The test costs one boolean array of
-    M's shape, an eighth of the copy it saves.
+    symmetrized, into a copy of its size.  Both callers pass exactly
+    symmetric matrices and leave the symmetrizing to this function: sums of
+    products of contiguous rows with their own transpose, which numpy forms
+    exactly symmetric (``gram_eigh`` the Gram matrix, ``nlp.eigen_step`` the
+    scatter operator).  The test costs one boolean array of M's shape, an
+    eighth of the copy it saves.
     """
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
@@ -106,7 +109,6 @@ class GramEigen:
                 V = V @ np.linalg.inv(np.linalg.cholesky(C).T)
         if k > m:
             V = complete_basis(V, k)
-        V = np.asfortranarray(V)  # the layout a model file's projection_columns load into
         return orient_columns(V)
 
 
@@ -137,19 +139,6 @@ def gram_eigh(features: np.ndarray) -> GramEigen:
     return GramEigen(rows=X, scale=scale, values=lam[:r], vectors=U[:, :r])
 
 
-def row_space(features: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of the rows of ``features``, which the
-    caller has already centered: ``gram_eigh`` lifted in full.
-
-    Returns ``V_r`` (d x r): the principal directions in decreasing order of
-    variance, oriented.  Every row lies in the span of ``V_r`` up to the
-    dropped spectrum, so with ``Z = features @ V_r``, ``features @ (V_r @ B)``
-    equals ``Z @ B`` for any r-row matrix B.
-    """
-    gram = gram_eigh(features)
-    return gram.lift(np.eye(gram.rank), gram.rank)
-
-
 def complete_basis(V: np.ndarray, k: int) -> np.ndarray:
     """Extend orthonormal columns of V to k columns using identity directions.
 
@@ -172,5 +161,4 @@ def complete_basis(V: np.ndarray, k: int) -> np.ndarray:
         norm = np.linalg.norm(e)
         if norm > 1e-8:
             cols.append(e / norm)
-    # column-major, the layout a model file's projection_columns load into
     return np.array(cols[:k]).T

@@ -161,13 +161,6 @@ class TrainingSplit:
     def gram(self) -> GramEigen:
         return gram_eigh(self.features)
 
-    def principal_basis(self, k: int) -> np.ndarray:
-        """The top k principal directions (d x k), oriented, lifted from the
-        split's Gram eigendecomposition without forming the other r - k
-        columns of the row-space basis; past the rank r, deterministic unit
-        directions orthogonal to every training row."""
-        return self.gram.lift(np.eye(min(k, self.gram.rank)), k)
-
     def neighbor_lines(self, K: int) -> NeighborLineIndex:
         if K not in self._neighbor_lines:
             self._neighbor_lines[K] = build_neighbor_lines(self.features, K)
@@ -209,13 +202,15 @@ def _line_pass(X: np.ndarray, W: np.ndarray, triples):
 
 def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Scatter operator from one pass's coefficients: the sum of the outer
-    products of the input-space residuals of the kept lines, symmetrized.
+    products of the input-space residuals of the kept lines.
 
     The operator is summed block by block, ``L += R_b^T R_b`` over the
     ``geometry.blocks`` of lines, so besides L only temporaries of at most
     ``geometry.BLOCK_ELEMENTS`` elements and one product of L's size are
     alive; each residual element is computed as
-    ``(x_i - x_k) - alpha * (x_j - x_k)``.
+    ``(x_i - x_k) - alpha * (x_j - x_k)``.  numpy forms each ``R_b^T R_b``
+    exactly symmetric, and so is their sum, so L is returned as summed:
+    ``(L + L^T) / 2`` would equal it bit for bit.
     """
     i_idx, j_idx, k_idx = triples
     L = np.zeros((X.shape[1], X.shape[1]))
@@ -232,7 +227,7 @@ def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np
         D *= alpha[rows, None]
         R -= D
         L += R.T @ R
-    return (L + L.T) / 2.0
+    return L
 
 
 def assemble_scatter(dataset, index: NeighborLineIndex, W: np.ndarray) -> np.ndarray:
@@ -241,7 +236,8 @@ def assemble_scatter(dataset, index: NeighborLineIndex, W: np.ndarray) -> np.nda
 
     Each residual is ``x_i - x_k - alpha * (x_j - x_k)`` with the coefficient
     computed from the projected points, so the operator depends on W.  The
-    result is symmetrized to remove floating-point asymmetry.
+    result is exactly symmetric without a symmetrizing step: it is a sum of
+    blocks ``R_b^T R_b``, each of which numpy forms exactly symmetric.
     """
     X = _features_of(dataset)
     if W.shape[0] != X.shape[1]:
@@ -272,7 +268,7 @@ def eigen_step(L: np.ndarray, d_prime: int) -> np.ndarray:
     if not 1 <= d_prime <= d:
         raise ValueError(f"d_prime must be in [1, {d}], got {d_prime}")
     _, vecs = sym_eigh(L)
-    return orient_columns(np.asfortranarray(vecs[:, :d_prime]))
+    return orient_columns(vecs[:, :d_prime])
 
 
 def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:

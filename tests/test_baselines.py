@@ -232,6 +232,7 @@ class TestInterchangeability:
         for cfg in (BaselineConfig("pca", 2), BaselineConfig("lpp", 2, K=5)):
             model = fit_method(ds, cfg)
             assert isinstance(model, TrainedModel)
+            assert model.projection.flags.f_contiguous  # the layout load_model gives
             y = project(model, ds.features)
             assert y.shape == (ds.n, 2)
             assert model.mean_vector.shape == (ds.d,)

