@@ -59,9 +59,6 @@ def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
         projection=split.gram.lift(np.eye(min(d_prime, split.gram.rank)), d_prime),
         mean_vector=split.mean_vector,
         config=BaselineConfig(method="pca", d_prime=d_prime),
-        objective_trace=[],
-        iterations_run=0,
-        converged=True,
     )
 
 
@@ -92,9 +89,7 @@ def train_lpp(data: Dataset | TrainingSplit, config: BaselineConfig) -> TrainedM
         raise ValueError(f"train_lpp called with method {config.method!r}")
     split = TrainingSplit.of(data)
     X = split.features
-    n, d = X.shape
-    if config.K > n - 1:
-        raise ValueError(f"K must be <= n - 1 = {n - 1}, got {config.K}")
+    d = X.shape[1]
     if config.d_prime > d:
         raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
 
@@ -121,13 +116,5 @@ def train_lpp(data: Dataset | TrainingSplit, config: BaselineConfig) -> TrainedM
             f"LPP generalized eigenproblem failed despite regularization "
             f"(cond(X^T D X + reg I) = {cond:.3e}): {exc}"
         ) from exc
-    W = orient_columns(vecs)
     log.debug("lpp selected eigenvalues: %s", vals)
-    return TrainedModel(
-        projection=W,
-        mean_vector=split.mean_vector,
-        config=config,
-        objective_trace=[],
-        iterations_run=0,
-        converged=True,
-    )
+    return TrainedModel(projection=orient_columns(vecs), mean_vector=split.mean_vector, config=config)

@@ -254,6 +254,9 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
 
     Returns the pixel grid as a (height, width) integer array together with
     the file's maxval.  Header comments (``#`` to end of line) are skipped.
+    As in libnetpbm, a comment glued to maxval runs to its newline, and that
+    newline is the one byte that ends the header; with no newline, no sample
+    follows.
     A sample outside ``[0, maxval]`` raises ``DataFormatError``.
     """
     path = Path(path)
@@ -278,6 +281,9 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
         raise DataFormatError(
             f"{path}: corrupt PGM header: width={width} height={height} maxval={maxval}"
         )
+    if data.startswith(b"#", pos):  # a comment glued to maxval: its newline ends the header
+        newline = data.find(b"\n", pos)
+        pos = len(data) if newline < 0 else newline
     count = width * height
     out_of_range = f"{path}: sample value outside [0, maxval {maxval}]"
     if magic == "P2":
@@ -287,7 +293,7 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
         except OverflowError:
             raise DataFormatError(out_of_range) from None
     else:
-        pos += 1  # single whitespace byte after maxval
+        pos += 1  # single whitespace byte (or a glued comment's newline) after maxval
         bytes_per = 1 if maxval < 256 else 2
         need = count * bytes_per
         raster = data[pos : pos + need]

@@ -191,9 +191,10 @@ def run_experiments(
     mean and the population standard deviation over repeats, plus aggregate
     per-class accuracy pooled across all repeats.
 
-    Each side's rows are gathered once, centered in place and projected by
-    every model, ``(x - mean) @ W`` as in ``project``, then dropped before
-    the next side is gathered; classification reads only the projections.
+    Only each fit's projection W is kept.  Each side's rows are gathered
+    once, centered in place and projected by every W, ``(x - mean) @ W`` as
+    in ``project``, then dropped before the next side is gathered;
+    classification reads only the projected rows.
     """
     if classifier not in CLASSIFIERS:
         raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
@@ -205,24 +206,18 @@ def run_experiments(
         try:
             train_idx, test_idx = split_indices(dataset.labels, split, r)
             shared = TrainingSplit(dataset, train_idx)
-            models = []
+            projections = []
             for config in method_configs:
                 where = _step(r, config)
-                models.append(fit_method(shared, config))
-            train_projected = []
-            for i, config in enumerate(method_configs):
-                where = _step(r, config)
-                train_projected.append(shared.features @ models[i].projection)
+                projections.append(fit_method(shared, config).projection)
+            where = f"repeat {r}"
+            train_projected = [shared.features @ W for W in projections]
             mean = shared.mean_vector
             del shared
-            where = f"repeat {r}"
             test_x = dataset.features[test_idx]  # 2-D even when a split leaves one test row
             test_x -= mean
-            test_projected = []
-            for i, config in enumerate(method_configs):
-                where = _step(r, config)
-                test_projected.append(test_x @ models[i].projection)
-            del test_x, models  # the loops index models, so no loop variable keeps one alive
+            test_projected = [test_x @ W for W in projections]
+            del test_x, projections
             train_y, test_y = dataset.labels[train_idx], dataset.labels[test_idx]
             test_labels.append(test_y)
             for config, T, Q, config_hits in zip(method_configs, train_projected, test_projected, hits):

@@ -83,6 +83,8 @@ class NeighborLineIndex:
 class TrainedModel:
     """A learned projection plus the statistics needed to apply it.
 
+    The trace, iteration count and convergence flag default to those of a
+    closed-form fit (PCA, LPP): no objective, no iterations, converged.
     ``step_traces`` records, for each iteration, the trace objective of the
     previous and the updated W under that iteration's fixed scatter operator
     (the updated value can never exceed the previous one).  It is a training
@@ -92,9 +94,9 @@ class TrainedModel:
     projection: np.ndarray       # (d, d_prime)
     mean_vector: np.ndarray      # (d,)
     config: object               # TrainConfig or baselines.BaselineConfig
-    objective_trace: list[float]
-    iterations_run: int
-    converged: bool
+    objective_trace: list[float] = field(default_factory=list)
+    iterations_run: int = 0
+    converged: bool = True
     step_traces: list[tuple[float, float]] = field(default_factory=list)
 
     @property
@@ -121,7 +123,7 @@ def k_nearest_neighbors(features: np.ndarray, K: int) -> np.ndarray:
     X = np.asarray(features, dtype=float)
     n = X.shape[0]
     if not 1 <= K <= n - 1:
-        raise ValueError(f"K must be in [1, {n - 1}], got {K}")
+        raise ValueError(f"K must be <= n - 1 = {n - 1} and >= 1, got {K}")
     return nearest_rows(X, K=K)
 
 
@@ -192,7 +194,7 @@ def _line_pass(X: np.ndarray, W: np.ndarray, triples):
         alpha[rows], rho, ok[rows] = project_onto_lines(
             Y.take(i_idx[rows], axis=0), Y.take(j_idx[rows], axis=0), Y.take(k_idx[rows], axis=0)
         )
-        kept = rho if ok[rows].all() else rho[ok[rows]]
+        kept = rho[ok[rows]]
         total += float(np.einsum("ij,ij->", kept, kept))
     skipped = ok.size - np.count_nonzero(ok)
     if skipped:
@@ -202,7 +204,8 @@ def _line_pass(X: np.ndarray, W: np.ndarray, triples):
 
 def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Scatter operator from one pass's coefficients: the sum of the outer
-    products of the input-space residuals of the kept lines.
+    products of the input-space residuals of the kept lines (zero when the
+    mask keeps none).
 
     The operator is summed block by block, ``L += R_b^T R_b`` over the
     ``geometry.blocks`` of lines, so besides L only temporaries of at most
@@ -212,12 +215,9 @@ def _scatter_of(X: np.ndarray, triples, alpha: np.ndarray, ok: np.ndarray) -> np
     exactly symmetric, and so is their sum, so L is returned as summed:
     ``(L + L^T) / 2`` would equal it bit for bit.
     """
-    i_idx, j_idx, k_idx = triples
+    i_idx, j_idx, k_idx = (idx[ok] for idx in triples)
+    alpha = alpha[ok]
     L = np.zeros((X.shape[1], X.shape[1]))
-    if not ok.all():
-        if not ok.any():
-            return L
-        i_idx, j_idx, k_idx, alpha = i_idx[ok], j_idx[ok], k_idx[ok], alpha[ok]
     for rows in blocks(i_idx.size, X.shape[1]):
         Xk = X.take(k_idx[rows], axis=0)
         R = X.take(i_idx[rows], axis=0)
@@ -295,9 +295,7 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     none.
     """
     split = TrainingSplit.of(data)
-    n, d = split.features.shape
-    if config.K > n - 1:
-        raise ValueError(f"K must be <= n - 1 = {n - 1}, got {config.K}")
+    d = split.features.shape[1]
     if config.d_prime > d:
         raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
 

@@ -43,6 +43,15 @@ def manifold_classes(
     coordinates; the whole structure is rotated into the ambient space by a
     fixed orthonormal embedding.  The sheets have large extent, so variance
     alone does not reveal the class offsets.
+
+    The noise is added to the 7 structure coordinates before the embedding,
+    so the rows have rank at most 7 whatever ``ambient_dim`` is.  A
+    projection to more dimensions (``--dims 10`` in the README's comparison)
+    exceeds that rank and keeps directions orthogonal to every row.  LPP
+    collapses there: when ``ambient_dim`` exceeds the rank it returns
+    null-space directions, whose projected rows are about 1e-12 of the
+    data's norm (at the defaults, seeds 0 and 5, at d' = 5, 7 and 10 alike),
+    so its features are set by rounding.
     """
     if n_classes > 3:
         raise ValueError("at most 3 classes supported (2 offset coordinates)")

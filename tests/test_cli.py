@@ -162,6 +162,16 @@ class TestTrainCommand:
         assert code == 1
         assert "d_prime must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, rows", [("train", 36), ("evaluate", 18)])
+    def test_k_above_the_training_rows_exits_1(self, blob_csv, tmp_path, capsys, command, rows):
+        # train fits nlp on all 36 rows, evaluate fits lpp on each 18-row half
+        flags = ["--method", "nlp"] if command == "train" else ["--method", "lpp", "--train-frac", "0.5"]
+        out = tmp_path / "out.json"
+        code = main([command, "--data", str(blob_csv), *flags, "--k", str(rows), "--dim", "2", "--out", str(out)])
+        assert code == 1
+        assert f"K must be <= n - 1 = {rows - 1}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_partial_output_on_failure(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "model.json"
         code = main(["train", "--data", str(blob_csv), "--dim", "2", "--out", str(out)])

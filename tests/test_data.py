@@ -280,7 +280,8 @@ def pgm_files(draw):
 
 class TestPgm:
     @given(pgm_files())
-    @example(b"P5 1 1 255#c\n\x07")  # a comment glued to maxval: the raster starts at "c"
+    @example(b"P5 1 1 255#c\n\x07")  # a comment glued to maxval: the raster starts after its newline
+    @example(b"P5 1 1 255#c")  # ... and without a newline there is no raster
     @example(b"P5\r\n1\x0b1\x0c255\t\x07")
     @example(b"P5 #\r9\n1 1 255 \x07")  # a comment ends at "\n" only
     @example(b"P5 1 1 #no newline")
@@ -299,6 +300,9 @@ class TestPgm:
             return
         fields, pos = parsed
         width, height, maxval = (int(f) for f in fields[1:])
+        if raw[pos : pos + 1] == b"#":  # a comment glued to maxval ends at the newline that ends the header
+            newline = raw.find(b"\n", pos)
+            pos = len(raw) if newline < 0 else newline
         raster = raw[pos + 1 : pos + 1 + width * height]
         if len(raster) < width * height:
             with pytest.raises(DataFormatError, match=f"expected {width * height} raster bytes, found {len(raster)}"):
@@ -312,6 +316,16 @@ class TestPgm:
         grid, got_maxval = load_pgm(path)
         assert got_maxval == maxval
         assert grid.tolist() == pixels.reshape(height, width).tolist()
+
+    def test_ascii_comment_glued_to_maxval_runs_to_its_newline(self, tmp_path):
+        """P2 follows P5's rule: the glued comment's newline ends the header,
+        so the comment's text is never read as samples."""
+        path = tmp_path / "glued.pgm"
+        path.write_bytes(b"P2 1 1 255#c 9\n7\n")
+        assert load_pgm(path)[0].tolist() == [[7]]
+        path.write_bytes(b"P2 1 1 255#c 9")
+        with pytest.raises(DataFormatError, match="expected 1 ASCII samples, found 0"):
+            load_pgm(path)
 
     def test_layout_and_labels(self, tmp_path):
         for cls in ("alice", "bob"):

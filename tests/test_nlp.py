@@ -232,9 +232,12 @@ class TestAssembleScatter:
 
 class TestObjective:
     def test_identical_points_define_zero_objective(self):
+        # every line is degenerate, so the mask keeps none and the operator is exactly zero
         ds = Dataset(np.ones((4, 3)), np.zeros(4, dtype=int))
         index = build_neighbor_lines(ds, 2)
         assert objective(ds, index, np.eye(3)) == 0.0
+        L = assemble_scatter(ds, index, np.eye(3))
+        assert L.shape == (3, 3) and not L.any()
 
     def test_projection_scaling_scales_objective(self):
         rng = np.random.default_rng(7)
