@@ -72,8 +72,7 @@ def _flag_name(name: str) -> str:
 class RunSpec:
     """Parsed CLI invocation.  Each field after ``command`` is one flag,
     ``--<name>`` with ``-`` for ``_``: the field's default and metadata are
-    the flag's default and ``add_argument`` keywords.  ``to_flags``
-    reproduces the flag set exactly."""
+    the flag's default and ``add_argument`` keywords."""
 
     command: str
     data: str | None = _flag(None)
@@ -93,23 +92,6 @@ class RunSpec:
     out: str | None = _flag(None)
     model: str | None = _flag(None)
     quiet: bool = _flag(False, action="store_true")
-
-    def to_flags(self) -> list[str]:
-        """Canonical argv that parses back into this exact spec: every flag
-        in field order, except those holding None, () or False."""
-        flags = [self.command]
-        for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if value is None or value is False or value == ():
-                continue
-            flags.append(_flag_name(f.name))
-            if isinstance(value, tuple):
-                flags.append(",".join(str(v) for v in value))
-            elif isinstance(value, float):
-                flags.append(repr(value))
-            elif value is not True:
-                flags.append(str(value))
-        return flags
 
     @staticmethod
     def from_argv(argv) -> "RunSpec":
@@ -191,9 +173,8 @@ def _cmd_train(spec: RunSpec) -> None:
     save_model(model, spec.out)
     trace_path = _sibling_path(spec)
     trace_lines = ["iteration,objective"]
-    start = 1 if model.iterations_run > 0 else 0
-    for i, value in enumerate(model.objective_trace):
-        trace_lines.append(f"{start + i},{value!r}")
+    for t, value in enumerate(model.objective_trace):
+        trace_lines.append(f"{t},{value!r}")
     atomic_write_text(trace_path, "\n".join(trace_lines) + "\n")
     if not spec.quiet:
         print(f"wrote {spec.out} and {trace_path}")

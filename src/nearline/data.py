@@ -187,7 +187,7 @@ def _parse_bulk(lines: list[str], width: int, label_idx: int):
         cells = [line.split(",", label_idx + 1)[label_idx] for line in lines]
     try:
         labels = np.array([int(cell) for cell in cells], dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
     if (labels < 0).any():
         return None
@@ -212,6 +212,10 @@ def _parse_cells(path: Path, lines: list[str], width: int, label_idx: int):
                 except ValueError:
                     raise DataFormatError(
                         f"{path}: label at row {r}, column {c} is not an integer: {cell!r}"
+                    ) from None
+                except OverflowError:
+                    raise DataFormatError(
+                        f"{path}: label at row {r}, column {c} does not fit int64: {cell!r}"
                     ) from None
                 if labels[r] < 0:
                     raise DataFormatError(f"{path}: negative label at row {r}, column {c}")

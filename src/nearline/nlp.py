@@ -83,12 +83,15 @@ class NeighborLineIndex:
 class TrainedModel:
     """A learned projection plus the statistics needed to apply it.
 
-    The trace, iteration count and convergence flag default to those of a
-    closed-form fit (PCA, LPP): no objective, no iterations, converged.
-    ``step_traces`` records, for each iteration, the trace objective of the
-    previous and the updated W under that iteration's fixed scatter operator
-    (the updated value can never exceed the previous one).  It is a training
-    diagnostic and is not serialized.
+    An nlp fit's ``objective_trace[t]`` is the objective after t
+    iterations, from its PCA start at entry 0, so ``iterations_run`` is
+    ``len(objective_trace) - 1``.  The trace, iteration count and
+    convergence flag default to those of a closed-form fit (PCA, LPP): no
+    objective, no iterations, converged.  ``step_traces`` records, for each
+    iteration, the trace objective of the previous and the updated W under
+    that iteration's fixed scatter operator (the updated value can never
+    exceed the previous one).  It is a training diagnostic and is not
+    serialized.
     """
 
     projection: np.ndarray       # (d, d_prime)
@@ -281,7 +284,9 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     and starts from the top principal directions, ``W_z = I``
     (r x min(d', r)): each iteration assembles the r x r scatter operator
     under the current projection, replaces the projection through the eigen
-    step, and records the objective of the new one.  One line pass per
+    step, and records the objective of the new one.  The trace starts with
+    the objective of the start, so ``objective_trace[t]`` is the objective
+    after t iterations.  One line pass per
     projection gives its objective and the coefficients from which a second
     blocked pass sums the next operator.  The
     objective does not rise unless the degenerate-line mask changes between
@@ -290,9 +295,8 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     ``max_iters`` iterations.  The result ``V_r W_z`` is lifted once (``GramEigen.lift``)
     and, when ``d_prime`` exceeds r, completed with deterministic directions
     orthogonal to the training rows.  Without iterations the result is the
-    principal basis and the trace holds the initial objective.  Data with a
-    single distinct row (r = 0) is already at the zero objective and runs
-    none.
+    principal basis.  Data with a single distinct row (r = 0) is already at
+    the zero objective and runs none.
     """
     split = TrainingSplit.of(data)
     d = split.features.shape[1]
@@ -306,14 +310,13 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
 
     triples = split.neighbor_lines(config.K).flat_triples()
 
-    alpha, ok, objective_prev = _line_pass(Z, W_z, triples)
-    if not np.isfinite(objective_prev):
-        raise ValueError(f"non-finite objective at initialization: {objective_prev}")
+    alpha, ok, value = _line_pass(Z, W_z, triples)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite objective at initialization: {value}")
 
-    trace: list[float] = []
+    trace = [value]
     step_traces: list[tuple[float, float]] = []
     converged = r == 0
-    iterations = 0
     for t in range(1, config.max_iters + 1 if r else 1):
         L = _scatter_of(Z, triples, alpha, ok)
         trace_old = float(np.trace(W_z.T @ L @ W_z))
@@ -331,10 +334,8 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
             )
         if not np.isfinite(value):
             raise ValueError(f"non-finite objective at iteration {t}: {value}")
+        rel_change = abs(value - trace[-1]) / max(abs(trace[-1]), 1e-30)
         trace.append(value)
-        iterations = t
-        rel_change = abs(value - objective_prev) / max(abs(objective_prev), 1e-30)
-        objective_prev = value
         if rel_change < config.rel_tol:
             converged = True
             break
@@ -344,8 +345,8 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
         projection=gram.lift(W_z, config.d_prime),
         mean_vector=split.mean_vector,
         config=config,
-        objective_trace=trace or [objective_prev],
-        iterations_run=iterations,
+        objective_trace=trace,
+        iterations_run=len(trace) - 1,
         converged=converged,
         step_traces=step_traces,
     )

@@ -43,28 +43,6 @@ def separable_csv(tmp_path):
 
 
 class TestRunSpecRoundTrip:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["train", "--data", "x.csv", "--method", "nlp", "--k", "5", "--dim", "10", "--out", "m.json"],
-            ["train", "--data", "x.csv", "--method", "lpp", "--dim", "3", "--seed", "4", "--out", "m.json", "--quiet"],
-            ["project", "--data", "x.csv", "--model", "m.json", "--out", "y.csv"],
-            [
-                "evaluate", "--data", "x.csv", "--method", "pca", "--dim", "4",
-                "--train-frac", "0.5", "--repeats", "10", "--seed", "7", "--out", "r.json",
-            ],
-            [
-                "compare", "--data", "x.csv", "--methods", "nlp,pca", "--dims", "2,5,10",
-                "--train-frac", "0.6", "--classifier", "nearest-line", "--out", "c.csv",
-            ],
-        ],
-    )
-    def test_flags_round_trip(self, argv):
-        spec = RunSpec.from_argv(argv)
-        echoed = spec.to_flags()
-        assert RunSpec.from_argv(echoed) == spec
-        assert RunSpec.from_argv(echoed).to_flags() == echoed
-
     def test_unknown_flag_is_validation_error(self, capsys):
         assert main(["train", "--data", "x.csv", "--dim", "2", "--out", "m.json", "--bogus"]) == 1
 

@@ -440,6 +440,11 @@ class TestLoaderErrors:
             ("a,b,label\n1,2,0\n3,4,1\n", "target", "no column named 'target' in header"),
             ("1,2,0\n3,4,1\n", 5, "label column index 5 out of range for width 3"),
             ("1,2,0\n3,4,1\n", -4, "label column index -1 out of range for width 3"),
+            (
+                "1.0,2.0,0\n2.0,3.0,99999999999999999999\n3.0,1.0,1\n",
+                "last",
+                "label at row 1, column 2 does not fit int64: '99999999999999999999'",
+            ),
         ],
     )
     def test_csv(self, tmp_path, capsys, text, label_col, message):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nearline.baselines import BaselineConfig, train_pca
 from nearline.data import SplitSpec
-from nearline.evaluate import run_experiment
+from nearline.evaluate import fit_method, run_experiment
 from nearline.model_io import (
     atomic_open,
     atomic_write_text,
@@ -199,6 +199,27 @@ class TestModelFile:
         path = tmp_path / "pca.json"
         save_model(model, path)
         assert load_model(path).config == BaselineConfig("pca", 3)
+
+    @pytest.mark.parametrize(
+        "config, iterations",
+        [
+            (TrainConfig(K=3, d_prime=2, max_iters=0), 0),
+            (TrainConfig(K=3, d_prime=2, max_iters=1, rel_tol=0.0), 1),
+            (TrainConfig(K=3, d_prime=2, max_iters=7, rel_tol=0.0), 7),
+            (BaselineConfig("pca", 3), 0),
+        ],
+    )
+    def test_round_trip_keeps_iterations_run(self, tmp_path, config, iterations):
+        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)
+        model = fit_method(ds, config)
+        assert model.iterations_run == iterations
+        # an nlp trace holds the start and one value per iteration; PCA's is empty
+        assert len(model.objective_trace) == (iterations + 1 if config.method == "nlp" else 0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.iterations_run == model.iterations_run
+        assert loaded.objective_trace == model.objective_trace
 
     def test_rejects_unknown_schema_version(self, tmp_path):
         path = tmp_path / "bad.json"

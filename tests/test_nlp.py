@@ -356,8 +356,11 @@ class TestTrain:
     def test_trace_csv_semantics(self):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)
         model = train(ds, TrainConfig(K=3, d_prime=2, max_iters=7, rel_tol=0.0))
+        start = train(ds, TrainConfig(K=3, d_prime=2, max_iters=0))
         assert model.iterations_run == 7
-        assert len(model.objective_trace) == 7
+        # entry t is the objective after t iterations, from the PCA start on
+        assert len(model.objective_trace) == 8
+        assert model.objective_trace[0] == start.objective_trace[0]
 
     def test_deterministic_given_same_inputs(self):
         ds = gaussian_blobs(n_per_class=12, n_classes=3, d=10, seed=2)
@@ -488,11 +491,12 @@ def step_is_well_posed(L, V_r, m):
 
 
 def full_space_train(ds, K, d_prime, max_iters):
-    """Direct d x d loop from the top-d' principal directions (oracle).  The
-    d - r directions orthogonal to the row space V_r are null directions of
-    every operator, which the row-space fit takes only past the rank; the
-    eigen step here reads them after every eigenvalue of L, from
-    ``L + c (I - V_r V_r^T)`` with c above L's spectrum."""
+    """Direct d x d loop from the top-d' principal directions (oracle); its
+    objectives start with that of the start.  The d - r directions
+    orthogonal to the row space V_r are null directions of every operator,
+    which the row-space fit takes only past the rank; the eigen step here
+    reads them after every eigenvalue of L, from ``L + c (I - V_r V_r^T)``
+    with c above L's spectrum."""
     X = centered(ds)
     rank = np.linalg.matrix_rank(X)
     index = build_neighbor_lines(X, K)
@@ -500,7 +504,7 @@ def full_space_train(ds, K, d_prime, max_iters):
     V_r = Vt[:rank].T
     outside = np.eye(X.shape[1]) - V_r @ V_r.T
     W = Vt[:d_prime].T
-    objectives, steps = [], []
+    objectives, steps = [objective(X, index, W)], []
     for _ in range(max_iters):
         L = assemble_scatter(X, index, W)
         assume(step_is_well_posed(L, V_r, min(d_prime, rank)))
@@ -558,7 +562,8 @@ def two_pass_train(ds, config):
     """The training loop with one line pass for each scatter operator and
     another for each objective, from the public pieces (reference).  As in
     ``train``, it runs on the split's row-space coordinates, starts from the
-    top principal directions and lifts the result once."""
+    top principal directions, records the start's objective first and lifts
+    the result once."""
     X = centered(ds)
     gram = gram_eigh(X)
     Z = gram.coordinates
@@ -566,9 +571,9 @@ def two_pass_train(ds, config):
     W_z = np.eye(r, min(config.d_prime, r))
     index = build_neighbor_lines(X, config.K)
     previous = objective(Z, index, W_z)
+    objectives, steps = [previous], []
     if config.max_iters == 0 or r == 0:
-        return gram.lift(np.eye(min(config.d_prime, r)), config.d_prime), [previous], [], 0, r == 0
-    objectives, steps = [], []
+        return gram.lift(np.eye(min(config.d_prime, r)), config.d_prime), objectives, steps, 0, r == 0
     converged = False
     for t in range(1, config.max_iters + 1):
         L = assemble_scatter(Z, index, W_z)
@@ -693,7 +698,8 @@ class TestSingleLinePass:
         # the three lines drop out at W_1 and come back at W_2
         assert [rec.args[:2] for rec in changes] == [(1, 3), (2, 3)]
         assert all(rec.levelno == logging.DEBUG for rec in changes)
-        assert flipped.objective_trace[0] < plain.objective_trace[0]
+        # entry 1 is the objective of W_1, the first updated projection
+        assert flipped.objective_trace[1] < plain.objective_trace[1]
 
 
 # six rows in 3-D, one repeated: an eigen step that ranks near-null
@@ -721,14 +727,17 @@ class TestMonotoneObjective:
         operator of the previous projection, and the next line pass
         minimizes each line's coefficient, so neither step can raise the
         objective; only rounding can, relative to the trace and, for fits
-        whose objectives are rounding zeros, to the data's energy."""
+        whose objectives are rounding zeros, to the data's energy.  The
+        trace starts at the PCA start, so the first step is checked too;
+        a rise makes its later value the larger, so the slack is scaled by
+        the iterates alone."""
         ds, config = problem
         with mock.patch.object(nearline.nlp.log, "debug", wraps=nearline.nlp.log.debug) as debug:
             model = train(ds, config)
         assume(not any("mask changed" in call.args[0] for call in debug.call_args_list))
         trace = model.objective_trace
         energy = float((centered(ds) ** 2).sum())
-        slack = 1e-9 * max(trace) + 1e-12 * energy * config.K ** 2
+        slack = 1e-9 * max(trace[1:], default=0.0) + 1e-12 * energy * config.K ** 2
         for previous, value in zip(trace, trace[1:]):
             assert value <= previous + slack
 
