@@ -106,12 +106,14 @@ def save_model(model: TrainedModel, path) -> None:
 def load_model(path) -> TrainedModel:
     """Rebuild a TrainedModel from its JSON file.
 
-    Only the serialized fields are recoverable; the convergence flag is not
-    stored.  An nlp trace holds the start's objective and one value per
-    iteration, so ``iterations_run`` is one less than its length (0 for a
-    closed-form fit's empty trace); a file that an iterating fit wrote
-    before the trace began at the start loads with one iteration fewer.  A
-    file of the wrong shape raises ValueError naming the problem.
+    Only the serialized fields are recoverable.  The convergence flag is not
+    stored: a PCA or LPP model, a closed-form fit, loads converged, and an
+    nlp model loads with ``converged=False``.  An nlp trace holds the start's
+    objective and one value per iteration, so ``iterations_run`` is one less
+    than its length (0 for a closed-form fit's empty trace); a file that an
+    iterating fit wrote before the trace began at the start loads with one
+    iteration fewer.  A file of the wrong shape raises ValueError naming the
+    problem.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
@@ -142,7 +144,7 @@ def load_model(path) -> TrainedModel:
         config=config,
         objective_trace=trace,
         iterations_run=max(len(trace) - 1, 0),
-        converged=False,
+        converged=not isinstance(config, TrainConfig),
     )
 
 

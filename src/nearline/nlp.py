@@ -18,7 +18,10 @@ r x r, summed over blocks of lines, and only the learned r x d' update is
 lifted to the input space, once, at the end (``GramEigen.lift``, whose
 Cholesky-QR pass keeps it orthonormal).  No d x d matrix, no d x r basis and
 no matrix of all residuals is built.  While the set of degenerate lines
-stays the same, neither step can raise the objective.
+stays the same, neither step can raise the objective.  When d' >= r the
+start already spans the row space: every orthonormal W_z is then a rotation
+of Z, which changes no line's coefficient, mask or residual norm, so no step
+can change the fit, and none is run.
 """
 
 from __future__ import annotations
@@ -87,7 +90,10 @@ class TrainedModel:
     iterations, from its PCA start at entry 0, so ``iterations_run`` is
     ``len(objective_trace) - 1``.  The trace, iteration count and
     convergence flag default to those of a closed-form fit (PCA, LPP): no
-    objective, no iterations, converged.  ``step_traces`` records, for each
+    objective, no iterations, converged.  An nlp fit is ``converged`` when
+    its relative objective change dropped below ``rel_tol``, or at once when
+    its start spans the row space (r <= d'), where it runs no iteration;
+    a fit stopped by ``max_iters`` is not.  ``step_traces`` records, for each
     iteration, the trace objective of the previous and the updated W under
     that iteration's fixed scatter operator (the updated value can never
     exceed the previous one).  It is a training diagnostic and is not
@@ -197,7 +203,7 @@ def _line_pass(X: np.ndarray, W: np.ndarray, triples):
         alpha[rows], rho, ok[rows] = project_onto_lines(
             Y.take(i_idx[rows], axis=0), Y.take(j_idx[rows], axis=0), Y.take(k_idx[rows], axis=0)
         )
-        kept = rho[ok[rows]]
+        kept = rho.compress(ok[rows], axis=0)
         total += float(np.einsum("ij,ij->", kept, kept))
     skipped = ok.size - np.count_nonzero(ok)
     if skipped:
@@ -295,8 +301,12 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     ``max_iters`` iterations.  The result ``V_r W_z`` is lifted once (``GramEigen.lift``)
     and, when ``d_prime`` exceeds r, completed with deterministic directions
     orthogonal to the training rows.  Without iterations the result is the
-    principal basis.  Data with a single distinct row (r = 0) is already at
-    the zero objective and runs none.
+    principal basis.  When r <= ``d_prime`` (data with a single distinct row,
+    r = 0, among them) the start ``W_z = I`` spans the row space, where every
+    W_z gives the same objective and the same next operator, so the fit runs
+    no iteration, is converged, keeps the start's objective as its only trace
+    entry and returns the principal basis, bit for bit ``train_pca``'s.  Why
+    the fit stopped is logged at DEBUG level.
     """
     split = TrainingSplit.of(data)
     d = split.features.shape[1]
@@ -316,8 +326,9 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
 
     trace = [value]
     step_traces: list[tuple[float, float]] = []
-    converged = r == 0
-    for t in range(1, config.max_iters + 1 if r else 1):
+    spans_row_space = r <= config.d_prime
+    converged = spans_row_space
+    for t in range(1, 1 if spans_row_space else config.max_iters + 1):
         L = _scatter_of(Z, triples, alpha, ok)
         trace_old = float(np.trace(W_z.T @ L @ W_z))
         W_z = eigen_step(L, min(config.d_prime, r))
@@ -341,6 +352,12 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
             break
         log.debug("iteration %d: objective %.6e (rel change %.3e)", t, value, rel_change)
 
+    if spans_row_space:
+        log.debug("stopped at the start: it spans the row space (r = %d <= d' = %d)", r, config.d_prime)
+    elif converged:
+        log.debug("converged at iteration %d (rel change below rel_tol = %g)", len(trace) - 1, config.rel_tol)
+    else:
+        log.debug("stopped at max_iters = %d without converging", config.max_iters)
     return TrainedModel(
         projection=gram.lift(W_z, config.d_prime),
         mean_vector=split.mean_vector,

@@ -200,6 +200,15 @@ class TestModelFile:
         save_model(model, path)
         assert load_model(path).config == BaselineConfig("pca", 3)
 
+    @pytest.mark.parametrize("config", [BaselineConfig("pca", 3), BaselineConfig("lpp", 3, K=3)])
+    def test_closed_form_fit_loads_converged(self, tmp_path, config):
+        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)
+        model = fit_method(ds, config)
+        assert model.converged
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).converged
+
     @pytest.mark.parametrize(
         "config, iterations",
         [

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import nearline.geometry
 import nearline.nlp
 from conftest import centered
+from nearline.baselines import train_pca
 from nearline.data import Dataset
 from nearline.geometry import (
     DEGENERACY_RTOL,
@@ -435,6 +436,23 @@ class TestTrain:
         with pytest.raises(ValueError, match="d_prime must be <="):
             train(ds, TrainConfig(K=3, d_prime=9))
 
+    def test_stop_reason_is_logged(self, caplog):
+        ds = gaussian_blobs(n_per_class=10, n_classes=2, d=6, seed=3)  # r = 6
+        with caplog.at_level(logging.DEBUG, logger="nearline.nlp"):
+            stops = []
+            for cfg in (TrainConfig(K=3, d_prime=6), TrainConfig(K=3, d_prime=2, rel_tol=1e-2),
+                        TrainConfig(K=3, d_prime=2, max_iters=1, rel_tol=0.0)):
+                caplog.clear()
+                model = train(ds, cfg)
+                [stop] = [rec for rec in caplog.records if rec.getMessage().startswith(("stopped", "converged"))]
+                assert stop.levelno == logging.DEBUG
+                stops.append((stop.getMessage(), model.iterations_run))
+        assert stops[0] == ("stopped at the start: it spans the row space (r = 6 <= d' = 6)", 0)
+        iterations = stops[1][1]
+        assert 1 <= iterations < 50
+        assert stops[1][0] == f"converged at iteration {iterations} (rel change below rel_tol = 0.01)"
+        assert stops[2] == ("stopped at max_iters = 1 without converging", 1)
+
     def test_identical_rows_train_to_zero_objective(self):
         # rank 0: the centered rows vanish and every line is degenerate
         ds = Dataset(np.full((6, 4), 2.5), np.zeros(6, dtype=int))
@@ -524,16 +542,62 @@ class TestRowSpaceTraining:
         model = train(ds, TrainConfig(K=K, d_prime=d_prime, max_iters=max_iters, rel_tol=0.0))
         objectives, steps = full_space_train(ds, K, d_prime, max_iters)
 
-        assert model.objective_trace == pytest.approx(objectives, rel=1e-8)
-        assert np.ravel(model.step_traces) == pytest.approx(np.ravel(steps), rel=1e-8)
-
         X = centered(ds)
+        r = gram_eigh(X).rank
+        if d_prime >= r:
+            # a start that spans the row space is a fixed point of the direct
+            # loop up to rounding, so the fit stops there
+            assert objectives == pytest.approx([objectives[0]] * len(objectives), rel=1e-8)
+            assert model.objective_trace == pytest.approx(objectives[:1], rel=1e-8)
+            assert model.step_traces == []
+        else:
+            assert model.objective_trace == pytest.approx(objectives, rel=1e-8)
+            assert np.ravel(model.step_traces) == pytest.approx(np.ravel(steps), rel=1e-8)
+
         W = model.projection
         assert np.abs(W.T @ W - np.eye(d_prime)).max() < 1e-8
-        r = np.linalg.matrix_rank(X)
         if d_prime > r:
             scale = max(np.abs(X).max(), 1.0)
             assert np.abs(X @ W[:, r:]).max() < 1e-8 * scale
+
+
+@st.composite
+def spanning_fits(draw):
+    """Small fits whose d' is at least the rank r that ``train`` reads
+    (``gram_eigh``), d' > r included, at any max_iters and rel_tol."""
+    n = draw(st.integers(6, 14))
+    d = draw(st.integers(1, 24))
+    rank = draw(st.integers(0, min(n - 1, d)))
+    repeated = draw(st.integers(0, n // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) + rng.normal(size=d)
+    X[n - repeated :] = X[:repeated]
+    ds = Dataset(X, np.zeros(n, dtype=int))
+    r = gram_eigh(centered(ds)).rank
+    config = TrainConfig(
+        K=draw(st.integers(2, min(5, n - 1))),
+        d_prime=draw(st.integers(max(r, 1), min(n - 1, d))),
+        max_iters=draw(st.integers(0, 5)),
+        rel_tol=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+    )
+    return ds, config
+
+
+class TestSpanningStart:
+    @given(spanning_fits())
+    @example((Dataset(np.full((6, 4), 2.5), np.zeros(6, dtype=int)), TrainConfig(K=3, d_prime=1)))  # r = 0
+    @settings(deadline=None, max_examples=100)
+    def test_fit_is_the_principal_basis(self, problem):
+        """When d' >= r every W_z is a rotation of the row space, which moves
+        no objective: the fit is its start, PCA's basis, converged."""
+        ds, config = problem
+        model = train(ds, config)
+        split = TrainingSplit(ds)
+        index = build_neighbor_lines(split.features, config.K)
+        start = objective(split.gram.coordinates, index, np.eye(split.gram.rank))
+        assert np.array_equal(model.projection, train_pca(ds, config.d_prime).projection)
+        assert model.objective_trace == [start]
+        assert (model.iterations_run, model.converged, model.step_traces) == (0, True, [])
 
 
 @st.composite
@@ -563,7 +627,8 @@ def two_pass_train(ds, config):
     another for each objective, from the public pieces (reference).  As in
     ``train``, it runs on the split's row-space coordinates, starts from the
     top principal directions, records the start's objective first and lifts
-    the result once."""
+    the result once.  A start that spans the row space (r <= d') is
+    returned as it is, converged."""
     X = centered(ds)
     gram = gram_eigh(X)
     Z = gram.coordinates
@@ -572,8 +637,8 @@ def two_pass_train(ds, config):
     index = build_neighbor_lines(X, config.K)
     previous = objective(Z, index, W_z)
     objectives, steps = [previous], []
-    if config.max_iters == 0 or r == 0:
-        return gram.lift(np.eye(min(config.d_prime, r)), config.d_prime), objectives, steps, 0, r == 0
+    if config.max_iters == 0 or r <= config.d_prime:
+        return gram.lift(np.eye(min(config.d_prime, r)), config.d_prime), objectives, steps, 0, r <= config.d_prime
     converged = False
     for t in range(1, config.max_iters + 1):
         L = assemble_scatter(Z, index, W_z)
