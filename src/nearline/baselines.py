@@ -49,16 +49,16 @@ def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:
     columns are lifted (``GramEigen.lift``) from its one eigendecomposition
     of the smaller Gram matrix (``linalg.gram_eigh``), the basis that nlp
     training starts from; past the rank of the data they are completed with
-    unit directions orthogonal to every training row.
+    unit directions orthogonal to every training row.  Any ``d_prime`` in
+    [1, d] is taken, as by nlp training: the lift's completion refuses one
+    above d, since d dimensions hold no more orthonormal columns.
     """
+    config = BaselineConfig(method="pca", d_prime=d_prime)
     split = TrainingSplit.of(data)
-    n, d = split.features.shape
-    if not 1 <= d_prime <= min(n - 1, d):
-        raise ValueError(f"d_prime must be in [1, {min(n - 1, d)}] for PCA, got {d_prime}")
     return TrainedModel(
         projection=split.gram.lift(np.eye(min(d_prime, split.gram.rank)), d_prime),
         mean_vector=split.mean_vector,
-        config=BaselineConfig(method="pca", d_prime=d_prime),
+        config=config,
     )
 
 

@@ -56,7 +56,7 @@ def _csv_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in _csv_list(text))
     except ValueError:
-        raise CliValidationError(f"expected a comma-separated list of integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
 def _flag(default, **argparse_kwargs):

@@ -87,6 +87,8 @@ class GramEigen:
         oriented, for coefficients B (p x m) on the top p <= r principal
         directions ``V_p``, completed to k >= m columns (``complete_basis``)
         with deterministic unit directions orthogonal to them; column-major.
+        Every nlp and PCA basis leaves here: the completion's refusal of
+        k > d is the one bound on their ``d_prime``.
 
         When n <= d they are ``X^T U_p Lambda_p^(-1/2) B``, else ``U_p B``.
         The first form loses orthonormality as the kept spectrum spreads, so
@@ -146,10 +148,12 @@ def complete_basis(V: np.ndarray, k: int) -> np.ndarray:
     accepted columns, so the completion is deterministic.  Each axis gets two
     Gram-Schmidt passes: the second removes what rounding left of the first,
     so an axis nearly inside the span still comes out orthogonal to eps.
+    A k above d, which d dimensions cannot hold, raises the one ValueError
+    that bounds every nlp and PCA ``d_prime`` (through ``GramEigen.lift``).
     """
     d = V.shape[0]
     if k > d:
-        raise ValueError(f"cannot build {k} orthonormal columns in dimension {d}")
+        raise ValueError(f"d_prime must be <= d = {d}, got {k}")
     cols = [V[:, i] for i in range(V.shape[1])]
     for axis in range(d):
         if len(cols) >= k:

@@ -108,12 +108,8 @@ def load_model(path) -> TrainedModel:
 
     Only the serialized fields are recoverable.  The convergence flag is not
     stored: a PCA or LPP model, a closed-form fit, loads converged, and an
-    nlp model loads with ``converged=False``.  An nlp trace holds the start's
-    objective and one value per iteration, so ``iterations_run`` is one less
-    than its length (0 for a closed-form fit's empty trace); a file that an
-    iterating fit wrote before the trace began at the start loads with one
-    iteration fewer.  A file of the wrong shape raises ValueError naming the
-    problem.
+    nlp model loads with ``converged=False``.  A file of the wrong shape
+    raises ValueError naming the problem.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
@@ -143,7 +139,6 @@ def load_model(path) -> TrainedModel:
         mean_vector=mean,
         config=config,
         objective_trace=trace,
-        iterations_run=max(len(trace) - 1, 0),
         converged=not isinstance(config, TrainConfig),
     )
 

@@ -87,26 +87,29 @@ class TrainedModel:
     """A learned projection plus the statistics needed to apply it.
 
     An nlp fit's ``objective_trace[t]`` is the objective after t
-    iterations, from its PCA start at entry 0, so ``iterations_run`` is
-    ``len(objective_trace) - 1``.  The trace, iteration count and
-    convergence flag default to those of a closed-form fit (PCA, LPP): no
-    objective, no iterations, converged.  An nlp fit is ``converged`` when
-    its relative objective change dropped below ``rel_tol``, or at once when
-    its start spans the row space (r <= d'), where it runs no iteration;
-    a fit stopped by ``max_iters`` is not.  ``step_traces`` records, for each
-    iteration, the trace objective of the previous and the updated W under
-    that iteration's fixed scatter operator (the updated value can never
-    exceed the previous one).  It is a training diagnostic and is not
-    serialized.
+    iterations, from its PCA start at entry 0, so ``iterations_run`` is read
+    from the trace: ``len(objective_trace) - 1``, and 0 for an empty trace.
+    The trace and convergence flag default to those of a closed-form fit
+    (PCA, LPP): no objective, so no iterations, and converged.  An nlp fit
+    is ``converged`` when its relative objective change dropped below
+    ``rel_tol``, or at once when its start spans the row space (r <= d'),
+    where it runs no iteration; a fit stopped by ``max_iters`` is not.
+    ``step_traces`` records, for each iteration, the trace objective of the
+    previous and the updated W under that iteration's fixed scatter operator
+    (the updated value can never exceed the previous one).  It is a training
+    diagnostic and is not serialized.
     """
 
     projection: np.ndarray       # (d, d_prime)
     mean_vector: np.ndarray      # (d,)
     config: object               # TrainConfig or baselines.BaselineConfig
     objective_trace: list[float] = field(default_factory=list)
-    iterations_run: int = 0
     converged: bool = True
     step_traces: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def iterations_run(self) -> int:
+        return max(len(self.objective_trace) - 1, 0)
 
     @property
     def d(self) -> int:
@@ -298,10 +301,11 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     objective does not rise unless the degenerate-line mask changes between
     two projections; such a change is logged at DEBUG level.  Training stops
     when the relative objective change drops below ``rel_tol`` or after
-    ``max_iters`` iterations.  The result ``V_r W_z`` is lifted once (``GramEigen.lift``)
-    and, when ``d_prime`` exceeds r, completed with deterministic directions
-    orthogonal to the training rows.  Without iterations the result is the
-    principal basis.  When r <= ``d_prime`` (data with a single distinct row,
+    ``max_iters`` iterations.  The result ``V_r W_z`` is lifted once
+    (``GramEigen.lift``) and, when ``d_prime`` exceeds r, completed with
+    deterministic directions orthogonal to the training rows; that
+    completion refuses a ``d_prime`` above d, after the neighbor search and
+    the start's pass.  Without iterations the result is the principal basis.  When r <= ``d_prime`` (data with a single distinct row,
     r = 0, among them) the start ``W_z = I`` spans the row space, where every
     W_z gives the same objective and the same next operator, so the fit runs
     no iteration, is converged, keeps the start's objective as its only trace
@@ -309,10 +313,6 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     the fit stopped is logged at DEBUG level.
     """
     split = TrainingSplit.of(data)
-    d = split.features.shape[1]
-    if config.d_prime > d:
-        raise ValueError(f"d_prime must be <= d = {d}, got {config.d_prime}")
-
     gram = split.gram
     Z = gram.coordinates
     r = gram.rank
@@ -331,7 +331,7 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     for t in range(1, 1 if spans_row_space else config.max_iters + 1):
         L = _scatter_of(Z, triples, alpha, ok)
         trace_old = float(np.trace(W_z.T @ L @ W_z))
-        W_z = eigen_step(L, min(config.d_prime, r))
+        W_z = eigen_step(L, config.d_prime)
         trace_new = float(np.trace(W_z.T @ L @ W_z))
         step_traces.append((trace_old, trace_new))
 
@@ -363,7 +363,6 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
         mean_vector=split.mean_vector,
         config=config,
         objective_trace=trace,
-        iterations_run=len(trace) - 1,
         converged=converged,
         step_traces=step_traces,
     )

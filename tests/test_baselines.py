@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nearline
 from conftest import centered
@@ -25,7 +27,38 @@ def two_far_clusters(n_per=30, d=10, gap=10.0, seed=0):
     return Dataset(feats, labels)
 
 
+@st.composite
+def pca_splits(draw):
+    """Small splits of any rank (0 included), d < n and d > n, some with
+    repeated rows, and a K the nlp start can use."""
+    n = draw(st.integers(3, 8))
+    d = draw(st.integers(1, 13))
+    rank = draw(st.integers(0, min(n - 1, d)))
+    repeated = draw(st.integers(0, n // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) + rng.normal(size=d)
+    X[n - repeated :] = X[:repeated]
+    return TrainingSplit(Dataset(X, np.zeros(n, dtype=int))), draw(st.integers(2, n - 1))
+
+
 class TestPca:
+    @given(pca_splits())
+    @example((TrainingSplit(Dataset(np.full((4, 6), 2.5), np.zeros(4, dtype=int))), 2))  # r = 0, d' >= n
+    @settings(deadline=None, max_examples=100)
+    def test_takes_every_d_prime_the_nlp_start_takes(self, problem):
+        """One d' rule: PCA returns the nlp start at every d' in [1, d],
+        d' >= n included, and every method refuses d' = d + 1."""
+        split, K = problem
+        d = split.features.shape[1]
+        for d_prime in range(1, d + 1):
+            start = train(split, TrainConfig(K=K, d_prime=d_prime, max_iters=0)).projection
+            assert np.array_equal(train_pca(split, d_prime).projection, start)
+        for fit in (lambda: train(split, TrainConfig(K=K, d_prime=d + 1)),
+                    lambda: train_pca(split, d + 1),
+                    lambda: train_lpp(split, BaselineConfig("lpp", d + 1, K=K))):
+            with pytest.raises(ValueError, match=f"d_prime must be <= d = {d}, got {d + 1}"):
+                fit()
+
     def test_recovers_dominant_direction(self):
         rng = np.random.default_rng(0)
         t = rng.normal(size=400)
@@ -88,10 +121,20 @@ class TestPca:
         rng = np.random.default_rng(5)
         ds = Dataset(rng.normal(size=(5, 10)), np.zeros(5, dtype=int))
         with pytest.raises(ValueError, match="d_prime"):
-            train_pca(ds, 5)  # exceeds n - 1 = 4
+            train_pca(ds, 11)  # exceeds d = 10
 
 
 class TestLpp:
+    def test_rejects_a_pca_config(self):
+        with pytest.raises(ValueError, match="train_lpp called with method 'pca'"):
+            train_lpp(two_far_clusters(), BaselineConfig("pca", 2))
+
+    def test_identical_rows_fail_the_solve(self):
+        # centered rows of zeros leave X^T D X and its regularizer both zero
+        ds = Dataset(np.full((6, 4), 2.5), np.zeros(6, dtype=int))
+        with pytest.raises(ValueError, match="LPP generalized eigenproblem failed despite regularization"):
+            train_lpp(ds, BaselineConfig("lpp", 2, K=3))
+
     def test_separates_far_clusters_in_one_dimension(self):
         ds = two_far_clusters()
         model = train_lpp(ds, BaselineConfig(method="lpp", d_prime=1, K=5))

@@ -91,6 +91,13 @@ class TestRunSpecRoundTrip:
         assert main(["compare", *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_dims_not_integers_exits_1(self, capsys):
+        flags = self._without(self.COMPLETE["compare"], "--dims")
+        assert main(["compare", *flags, "--dims", "2,x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: argument --dims: expected a comma-separated list of integers, got '2,x'\n"
+        )
+
     def test_every_setting_has_a_flag(self):
         # every flag takes a value other than its default; every field of the
         # configs the run builds must hold what its flag gave, so a field no
@@ -148,6 +155,25 @@ class TestTrainCommand:
         code = main([command, "--data", str(blob_csv), *flags, "--k", str(rows), "--dim", "2", "--out", str(out)])
         assert code == 1
         assert f"K must be <= n - 1 = {rows - 1}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("evaluate", ["--method", "pca", "--dim", "2", "--train-frac", "0.5", "--seed", "-1"],
+             "seed must be a nonnegative integer"),
+            ("train", ["--method", "nlp", "--dim", "2", "--max-iters", "-1"], "max_iters must be nonnegative"),
+            ("train", ["--method", "lpp", "--k", "0", "--dim", "2"], "K must be >= 1, got 0"),
+            # one d' rule for every method: the 8 columns of the data bound it
+            ("train", ["--method", "nlp", "--dim", "9"], "d_prime must be <= d = 8, got 9"),
+            ("train", ["--method", "pca", "--dim", "9"], "d_prime must be <= d = 8, got 9"),
+            ("train", ["--method", "lpp", "--dim", "9"], "d_prime must be <= d = 8, got 9"),
+        ],
+    )
+    def test_invalid_setting_exits_1(self, blob_csv, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "out.json"
+        assert main([command, "--data", str(blob_csv), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_no_partial_output_on_failure(self, blob_csv, tmp_path, capsys):
@@ -328,6 +354,25 @@ class TestEvaluateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == [blob_csv.name]
 
 
+class TestWroteLines:
+    def test_each_command_names_what_it_wrote(self, blob_csv, tmp_path, capsys):
+        model, trace, projected = tmp_path / "m.json", tmp_path / "m.trace.csv", tmp_path / "y.csv"
+        assert main(["train", "--data", str(blob_csv), "--method", "pca", "--dim", "2", "--out", str(model)]) == 0
+        assert capsys.readouterr().out == f"wrote {model} and {trace}\n"
+        assert main(["project", "--data", str(blob_csv), "--model", str(model), "--out", str(projected)]) == 0
+        assert capsys.readouterr().out == f"wrote {projected}\n"
+        out, table = tmp_path / "c.csv", tmp_path / "c.table.txt"
+        assert main([
+            "compare", "--data", str(blob_csv), "--methods", "pca,lpp", "--dims", "2", "--k", "3",
+            "--train-frac", "0.5", "--repeats", "2", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().out == table.read_text() + f"wrote {out} and {table}\n"
+        for quiet in (["train", "--data", str(blob_csv), "--method", "pca", "--dim", "2", "--out", str(model)],
+                      ["project", "--data", str(blob_csv), "--model", str(model), "--out", str(projected)]):
+            assert main([*quiet, "--quiet"]) == 0
+            assert capsys.readouterr().out == ""
+
+
 class TestCompareCommand:
     def test_row_count_and_table(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
@@ -397,6 +442,19 @@ class TestPgmFormat:
         assert code == 0
         save_model(fit_method(load_pgm_dir(root), config), expected)
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_pca_takes_a_dim_past_the_rows(self, tmp_path):
+        # 12 images of d = 64: --dim 20 is past n - 1 = 11, where nlp's start
+        # spans the row space and PCA gives that same basis
+        root = write_pgm_tree(tmp_path / "faces", classes=3, per_class=4, side=8)
+        columns = []
+        for method in ("nlp", "pca"):
+            out = tmp_path / f"{method}.json"
+            code = main(["train", "--data", str(root), "--format", "pgm-dir", "--method", method,
+                         "--k", "5", "--dim", "20", "--out", str(out), "--quiet"])
+            assert code == 0
+            columns.append(json.loads(out.read_text())["projection_columns"])
+        assert len(columns[1]) == 20 and columns[1] == columns[0]
 
     def test_train_holds_one_copy_of_the_rows(self, tmp_path):
         # d >> n: the peak is the centering step, which holds the loaded rows

@@ -16,6 +16,7 @@ from nearline.evaluate import (
     ExperimentError,
     classify_1nn,
     classify_nearest_line,
+    fit_method,
     run_experiment,
     run_experiments,
 )
@@ -537,9 +538,14 @@ class TestRunExperiment:
     def test_failing_repeat_reports_index(self):
         ds = gaussian_blobs(n_per_class=4, n_classes=2, d=10, seed=7)
         split = SplitSpec(train_fraction=0.5, seed=3, repeats=2)
-        # PCA d_prime exceeds train size - 1, so the first repeat fails
+        # PCA d_prime exceeds d = 10, so the first repeat fails
         with pytest.raises(ExperimentError, match="repeat 0"):
-            run_experiment(ds, BaselineConfig("pca", 6), split)
+            run_experiment(ds, BaselineConfig("pca", 11), split)
+
+    def test_unsupported_config_type_rejected(self):
+        ds = gaussian_blobs(n_per_class=4, n_classes=2, d=5, seed=8)
+        with pytest.raises(ValueError, match="unsupported config type SplitSpec"):
+            fit_method(ds, SplitSpec(0.5, 0))
 
     def test_unknown_classifier_rejected(self):
         ds = gaussian_blobs(n_per_class=10, n_classes=2, d=5, seed=8)
@@ -703,8 +709,8 @@ class TestRunExperiments:
     def test_failing_config_reports_repeat(self):
         ds = gaussian_blobs(n_per_class=4, n_classes=2, d=10, seed=7)
         split = SplitSpec(train_fraction=0.5, seed=3, repeats=2)
-        with pytest.raises(ExperimentError, match="^repeat 0, pca d'=6 failed: d_prime"):
-            run_experiments(ds, [BaselineConfig("pca", 2), BaselineConfig("pca", 6)], split)
+        with pytest.raises(ExperimentError, match="^repeat 0, pca d'=11 failed: d_prime"):
+            run_experiments(ds, [BaselineConfig("pca", 2), BaselineConfig("pca", 11)], split)
         # LPP collapses on this rank-7 data, projecting every within-class
         # pair to nearly one point, so its classify step is the one that fails
         configs = [TrainConfig(K=3, d_prime=2), BaselineConfig("pca", 2), BaselineConfig("lpp", 2, K=3)]

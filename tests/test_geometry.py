@@ -85,6 +85,16 @@ class TestLineAlpha:
         with pytest.raises(ValueError):
             line_alpha([0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "fit", [line_alpha, point_line_sqdist, lambda point, a, b: line_residual(point, a, b, 0.5)]
+    )
+    @pytest.mark.parametrize("bad", ["point", "a", "b"])
+    def test_two_dimensional_argument_raises(self, fit, bad):
+        args = {"point": [0.0, 1.0], "a": [1.0, 0.0], "b": [-1.0, 0.0]}
+        args[bad] = [args[bad]]
+        with pytest.raises(ValueError, match=rf"{bad} must be a 1-D vector, got shape \(1, 2\)"):
+            fit(**args)
+
     def test_matches_golden_section_on_random_triples(self):
         # Independent oracle: direct 1-D minimization of the squared distance.
         rng = np.random.default_rng(42)

@@ -45,7 +45,7 @@ def models(draw):
     W = np.array(draw(st.lists(floats, min_size=d * d_prime, max_size=d * d_prime))).reshape(d, d_prime)
     mean = np.array(draw(st.lists(floats, min_size=d, max_size=d)))
     trace = draw(st.lists(floats, max_size=4))
-    return TrainedModel(W, mean, draw(configs), trace, len(trace), False)
+    return TrainedModel(W, mean, draw(configs), trace, converged=False)
 
 
 def assert_same_model(loaded, model):
@@ -63,8 +63,8 @@ def assert_same_model(loaded, model):
 
 class TestModelFile:
     @given(models())
-    @example(TrainedModel(np.ones((1, 1)), np.zeros(1), BaselineConfig("lpp", 1), [], 0, True))
-    @example(TrainedModel(np.full((2, 1), -0.0), np.array([5e-324, 1e300]), BaselineConfig("pca", 1), [float("nan")], 1, True))
+    @example(TrainedModel(np.ones((1, 1)), np.zeros(1), BaselineConfig("lpp", 1), [], converged=True))
+    @example(TrainedModel(np.full((2, 1), -0.0), np.array([5e-324, 1e300]), BaselineConfig("pca", 1), [float("nan")], converged=True))
     @settings(deadline=None, max_examples=200)
     def test_round_trip_is_bit_exact(self, tmp_path_factory, model):
         path = tmp_path_factory.mktemp("model") / "model.json"
@@ -88,7 +88,7 @@ class TestModelFile:
         rng = np.random.default_rng(0)
         d, d_prime = 2576, 10
         model = TrainedModel(rng.normal(size=(d, d_prime)), rng.normal(size=d), TrainConfig(K=5, d_prime=d_prime),
-                             [1.0], 1, False)
+                             [1.0], converged=False)
         save_model(model, tmp_path / "warm.json")
         tracemalloc.start()
         try:
@@ -176,6 +176,7 @@ class TestModelFile:
             (lambda payload: payload.update(train_config=[]), "malformed model file"),
             (lambda payload: payload.update(objective_trace=5), "malformed model file"),
             (lambda payload: payload.update(projection_columns=5), "malformed model file"),
+            (lambda payload: payload["mean_vector"].pop(), "mean_vector must have length 6"),
         ],
     )
     def test_malformed_file_named(self, tmp_path, edit, message):
@@ -284,6 +285,10 @@ class TestConfigDicts:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             config_from_dict({"method": "umap"})
+
+    def test_unsupported_config_type_rejected(self):
+        with pytest.raises(ValueError, match="unsupported config type SplitSpec"):
+            config_to_dict(SplitSpec(0.5, 0))
 
 
 class TestReports:

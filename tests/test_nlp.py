@@ -180,6 +180,12 @@ class TestAssembleScatter:
         L = assemble_scatter(ds, index, np.eye(3))
         assert np.abs(L).max() < 1e-20
 
+    def test_projection_rows_must_match_the_features(self):
+        rng = np.random.default_rng(3)
+        ds = random_dataset(rng, 10, 6)
+        with pytest.raises(ValueError, match="projection has 5 rows, features have 6 columns"):
+            assemble_scatter(ds, build_neighbor_lines(ds, 3), np.eye(5, 2))
+
     def test_trace_matches_direct_objective(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, 10, 6)
@@ -321,6 +327,16 @@ class TestEigenStep:
         L[0, 0] = np.inf
         with pytest.raises(ValueError):
             eigen_step(L, 1)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 2)])
+    def test_non_square_input_rejected(self, shape):
+        with pytest.raises(ValueError, match="scatter operator must be square"):
+            eigen_step(np.ones(shape), 1)
+
+    @pytest.mark.parametrize("d_prime", [0, 4])
+    def test_d_prime_outside_the_operator_rejected(self, d_prime):
+        with pytest.raises(ValueError, match=rf"d_prime must be in \[1, 3\], got {d_prime}"):
+            eigen_step(np.eye(3), d_prime)
 
 
 class TestTrain:
@@ -810,7 +826,7 @@ class TestMonotoneObjective:
 class TestProject:
     def test_identity_columns_select_coordinates(self):
         mean = np.linspace(-1.0, 1.5, 6)
-        model = TrainedModel(np.eye(6)[:, :3], mean, TrainConfig(K=3, d_prime=3), [0.0], 0, False)
+        model = TrainedModel(np.eye(6)[:, :3], mean, TrainConfig(K=3, d_prime=3), [0.0], converged=False)
         x = np.arange(6.0)
         assert np.array_equal(project(model, x), (x - model.mean_vector)[:3])
 
