@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# A line is degenerate when its two defining points (nearly) coincide
-# relative to their magnitude; the closed-form coefficient divides by the
-# squared gap between them.
+# A line is degenerate when its squared gap is at most this fraction of its
+# larger squared endpoint norm, a test free of the data's scale (so are the
+# fits and classifiers that read it); the coefficient divides by that gap.
 DEGENERACY_RTOL = 1e-12
 
 # Upper bound on the elements of each temporary the nearest searches and the
@@ -49,20 +49,21 @@ def _check_dims(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 def line_gaps(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directions ``D = A - B`` of the lines through ``A`` and ``B``, their
     squared lengths ``|D|^2`` and the mask of lines that are not degenerate,
-    ``|D|^2 >= DEGENERACY_RTOL * max(1, |A|^2, |B|^2)``: the package's one
-    degeneracy test.  The last axis holds coordinates; the others broadcast.
+    ``|D|^2 > DEGENERACY_RTOL * max(|A|^2, |B|^2)``: the package's one
+    degeneracy test (equal points, zero too, make a degenerate line).  The
+    last axis holds coordinates; the others broadcast.
     """
     D = A - B
     gap_sq = np.einsum("...j,...j->...", D, D)
     na = np.einsum("...j,...j->...", A, A)
     nb = np.einsum("...j,...j->...", B, B)
-    ok = gap_sq >= DEGENERACY_RTOL * np.maximum(1.0, np.maximum(na, nb))
+    ok = gap_sq > DEGENERACY_RTOL * np.maximum(na, nb)
     return D, gap_sq, ok
 
 
 def is_degenerate_line(a, b) -> bool:
-    """True when the squared gap between ``a`` and ``b`` falls below the
-    degeneracy threshold ``DEGENERACY_RTOL * max(1, |a|^2, |b|^2)``."""
+    """True when the squared gap between ``a`` and ``b`` is at most
+    ``DEGENERACY_RTOL * max(|a|^2, |b|^2)`` (``line_gaps``)."""
     return not line_gaps(_as_vector(a, "a"), _as_vector(b, "b"))[2]
 
 

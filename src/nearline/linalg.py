@@ -90,12 +90,11 @@ class GramEigen:
         Every nlp and PCA basis leaves here: the completion's refusal of
         k > d is the one bound on their ``d_prime``.
 
-        When n <= d they are ``X^T U_p Lambda_p^(-1/2) B``, else ``U_p B``.
-        The first form loses orthonormality as the kept spectrum spreads, so
-        when ``max |V^T V - I|`` exceeds ``max(n, d) * eps`` one Cholesky-QR
-        pass, ``V R^-1`` with ``V^T V = R^T R``, restores it.  Only the m
-        lifted columns are formed, checked and passed over; ``B = I`` gives
-        the top p directions themselves, bit for bit.
+        When n <= d they are ``X^T U_p Lambda_p^(-1/2) B``, which loses
+        orthonormality as the kept spectrum spreads, so one classical
+        Gram-Schmidt pass in place, ``V R^-1`` with ``V^T V = R^T R``, always
+        follows.  When n > d they are ``U_p B`` with no pass: ``B = I`` gives
+        the top p eigenvectors themselves, bit for bit, whatever p is.
         """
         X = self.rows
         n, d = X.shape
@@ -103,12 +102,11 @@ class GramEigen:
         U = self.vectors[:, :p]
         if n <= d:
             V = X.T @ ((U / np.sqrt(self.values[:p])) @ B)
+            for j in range(m):
+                V[:, j] -= V[:, :j] @ (V[:, :j].T @ V[:, j])
+                V[:, j] /= np.sqrt(V[:, j] @ V[:, j])
         else:
             V = U @ B
-        if m:
-            C = V.T @ V
-            if np.abs(C - np.eye(m)).max() > max(n, d) * np.finfo(float).eps:
-                V = V @ np.linalg.inv(np.linalg.cholesky(C).T)
         if k > m:
             V = complete_basis(V, k)
         return orient_columns(V)

@@ -16,7 +16,7 @@ eigendecomposition of the split's smaller Gram matrix (``linalg.gram_eigh``:
 ``S[0] * sqrt(max(n, d) * eps)`` are dropped).  The scatter operator is
 r x r, summed over blocks of lines, and only the learned r x d' update is
 lifted to the input space, once, at the end (``GramEigen.lift``, whose
-Cholesky-QR pass keeps it orthonormal).  No d x d matrix, no d x r basis and
+Gram-Schmidt pass keeps it orthonormal).  No d x d matrix, no d x r basis and
 no matrix of all residuals is built.  While the set of degenerate lines
 stays the same, neither step can raise the objective.  When d' >= r the
 start already spans the row space: every orthonormal W_z is then a rotation

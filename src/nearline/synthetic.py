@@ -51,7 +51,8 @@ def manifold_classes(
     collapses there: when ``ambient_dim`` exceeds the rank it returns
     null-space directions, whose projected rows are about 1e-12 of the
     data's norm (at the defaults, seeds 0 and 5, at d' = 5, 7 and 10 alike),
-    so its features are set by rounding.
+    so its features are set by rounding.  Nearest-line, whose degeneracy
+    test is relative, scores those small rows as 1-NN does: at any scale.
     """
     if n_classes > 3:
         raise ValueError("at most 3 classes supported (2 offset coordinates)")

@@ -5,12 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gapped_labels
 from nearline import evaluate, geometry
-from nearline.baselines import BaselineConfig
+from nearline.baselines import BaselineConfig, train_pca
 from nearline.data import Dataset, SplitSpec, split_indices
 from nearline.evaluate import (
     ExperimentError,
@@ -22,7 +22,7 @@ from nearline.evaluate import (
 )
 from nearline.geometry import DEGENERACY_RTOL, DegenerateLineError, point_line_sqdist, project_onto_lines
 from nearline.model_io import report_json
-from nearline.nlp import TrainConfig, TrainingSplit, k_nearest_neighbors, project
+from nearline.nlp import TrainConfig, TrainingSplit, k_nearest_neighbors, project, train
 from nearline.synthetic import gaussian_blobs, manifold_classes, separable_clusters
 
 
@@ -711,8 +711,80 @@ class TestRunExperiments:
         split = SplitSpec(train_fraction=0.5, seed=3, repeats=2)
         with pytest.raises(ExperimentError, match="^repeat 0, pca d'=11 failed: d_prime"):
             run_experiments(ds, [BaselineConfig("pca", 2), BaselineConfig("pca", 11)], split)
-        # LPP collapses on this rank-7 data, projecting every within-class
-        # pair to nearly one point, so its classify step is the one that fails
-        configs = [TrainConfig(K=3, d_prime=2), BaselineConfig("pca", 2), BaselineConfig("lpp", 2, K=3)]
-        with pytest.raises(ExperimentError, match="^repeat 0, lpp d'=2 failed: .*degenerate"):
-            run_experiments(manifold_classes(**self.DATA), configs, self.SPLIT, "nearest_line")
+        # two classes 1e4 apart on axis 0, each spread along axis 1 alone: PCA
+        # at d' = 1 keeps axis 0, projecting each class's training rows to one
+        # point, so its classify step is the one that fails
+        rows = [(c * 1e4, v) for c in range(2) for v in (-1, 0, 1, 2)]
+        ds = Dataset(np.array(rows, dtype=float), np.repeat([0, 1], 4))
+        configs = [TrainConfig(K=2, d_prime=2), BaselineConfig("pca", 2), BaselineConfig("pca", 1)]
+        for seed in range(3):
+            with pytest.raises(ExperimentError, match="^repeat 0, pca d'=1 failed: all candidates are degenerate"):
+                run_experiments(ds, configs, SplitSpec(0.5, seed, 2), "nearest_line")
+
+
+def scale_problem(ds, config, seed):
+    """A fit problem with the train and test rows of one stratified split."""
+    return ds, config, split_indices(ds.labels, SplitSpec(0.5, seed, 1), 0)
+
+
+@st.composite
+def scale_problems(draw):
+    """Small labelled data of any rank (0 included), with d < n and d > n and
+    some rows repeated, split in half by class, and an nlp fit at tolerance
+    0, so that it runs its fixed number of iterations."""
+    n_classes, per_class = draw(st.integers(1, 3)), draw(st.integers(6, 8))
+    n, d = n_classes * per_class, draw(st.integers(1, 24))
+    rank = draw(st.integers(0, min(n - 1, d)))
+    repeated = draw(st.integers(0, n // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) + rng.normal(size=d)
+    X[n - repeated:] = X[:repeated]
+    ds = Dataset(X, rng.permutation(np.repeat(np.arange(n_classes), per_class)))
+    config = TrainConfig(
+        K=draw(st.integers(2, min(5, n // 2 - 1))),  # the split keeps at least n // 2 rows
+        d_prime=draw(st.integers(1, d)),
+        max_iters=draw(st.integers(0, 5)),
+        rel_tol=0.0,
+    )
+    return scale_problem(ds, config, draw(st.integers(0, 2**16)))
+
+
+def predictions(classify, T, labels, Q):
+    """A classifier's predictions, or the message of the ValueError it
+    raises when every candidate line is degenerate."""
+    try:
+        return classify(T, labels, Q)
+    except ValueError as error:
+        return str(error)
+
+
+class TestScaleInvariance:
+    @given(scale_problems(), st.integers(-60, 60))
+    @example(scale_problem(manifold_classes(seed=5), TrainConfig(K=5, d_prime=2, max_iters=30, rel_tol=0.0), 0), -60)
+    @settings(deadline=None, max_examples=150)
+    def test_power_of_two_scaling_changes_no_fit_and_no_prediction(self, problem, k):
+        """Multiplying the rows by s = 2^k is exact in floating point, and
+        every rule a fit or a classifier applies (the degeneracy test, the
+        rank cut, the screen slack) compares quantities of the same units.
+        So the nlp and PCA projections are the same bits, the objective trace
+        is exactly 4^k times, and both classifiers predict the same labels on
+        the scaled rows.  At the tolerance 0 the fit's stopping rule never
+        reads the objective's size."""
+        ds, config, (train_idx, test_idx) = problem
+
+        def run(s):
+            X = ds.features * s
+            split = TrainingSplit(Dataset(X, ds.labels), rows=train_idx)
+            models = train(split, config), train_pca(split, config.d_prime)
+            labels = ds.labels[train_idx]
+            sides = [(project(m, X[train_idx]), project(m, X[test_idx])) for m in models]
+            return models, [predictions(c, T, labels, Q) for T, Q in sides
+                            for c in (classify_1nn, classify_nearest_line)]
+
+        (nlp, pca), expected = run(1.0)
+        (nlp_s, pca_s), got = run(2.0**k)
+        assert np.array_equal(nlp_s.projection, nlp.projection)
+        assert nlp_s.objective_trace == [t * 4.0**k for t in nlp.objective_trace]
+        assert np.array_equal(pca_s.projection, pca.projection)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b), (a, b)

@@ -264,10 +264,10 @@ class TestRowSpace:
         backward-stable eigensolver).  When n <= d column i of the lift,
         ``X^T u_i / sqrt(lambda_i)``, maps to ``G u_i / sqrt(lambda_i)``,
         within ``max(n, d) eps S_0^2 / sqrt(lambda_i)`` of
-        ``sqrt(lambda_i) u_i``; the Cholesky-QR pass mixes in earlier columns
+        ``sqrt(lambda_i) u_i``; the Gram-Schmidt pass mixes in earlier columns
         with weights of the lift's orthonormality error, of the same order.
-        When n > d the two differ by the pass and by product rounding, which
-        the same bound covers.  ``sqrt(lambda_i)`` is at least the rank cut
+        When n > d the two differ by product rounding, which the same bound
+        covers.  ``sqrt(lambda_i)`` is at least the rank cut
         ``S_0 sqrt(max(n, d) eps)``, and the constant 10 leaves room over the
         largest ratio seen, 1.8 in 4000 draws.  Rows far outside
         (1e-100, 1e100) are rescaled for the eigensolve, so a coordinate that
@@ -344,11 +344,15 @@ class TestPrincipalBasis:
     @given(row_space_inputs(), st.integers(1, 24))
     @example(log_spectrum(12, 30, 1e-5), 11)
     @example(log_spectrum(30, 12, 1e-6), 11)
+    # n > d, rank 4: the eigenvectors' orthonormality error is larger over 4
+    # columns than over 1, so a repair pass run only when that error passes
+    # a threshold can run on the 4-column lift alone and move its top column
+    @example(np.random.default_rng(38).normal(size=(5, 4)), 1)
     @settings(deadline=None, max_examples=300)
     def test_top_columns_of_the_row_space(self, X, k):
         """Both bases are lifted from the same computed eigenpairs
         ``(lambda_i, u_i)``, i < k.  In exact arithmetic each spans the range
-        of ``Y = X^T U_k Lambda_k^(-1/2)`` (n <= d): a Cholesky-QR pass
+        of ``Y = X^T U_k Lambda_k^(-1/2)`` (n <= d): a Gram-Schmidt pass
         multiplies by an upper-triangular matrix, which keeps the span of
         every leading set of columns.  Rounding in the product moves column i
         of Y by at most ``gamma_n ||X||_F / sqrt(lambda_i)``
@@ -385,8 +389,9 @@ class TestPrincipalBasis:
         assert sine <= 2 * (e / s + m * EPS)
 
     def test_lifts_only_the_columns_it_returns(self):
-        # the full lift of these rows runs its Cholesky-QR pass and is a
-        # 4.1 MB d x r basis; the top 20 columns need neither
+        # the full lift of these rows is a 4.1 MB d x r basis; the top 20
+        # columns, their Gram-Schmidt pass included, hold at most two d x 20
+        # arrays (0.8 MB) at once
         split = principal_split(log_spectrum(200, 2576, 1e-3, seed=5))
         tracemalloc.start()
         try:

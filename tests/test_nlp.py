@@ -680,8 +680,8 @@ def direct_scatter_and_objective(X, index, W):
     i, j, k = index.flat_triples()
     Djk = Y[j] - Y[k]
     gap = np.einsum("ij,ij->i", Djk, Djk)
-    scale = np.maximum(1.0, np.maximum(np.einsum("ij,ij->i", Y[j], Y[j]), np.einsum("ij,ij->i", Y[k], Y[k])))
-    ok = gap >= DEGENERACY_RTOL * scale
+    scale = np.maximum(np.einsum("ij,ij->i", Y[j], Y[j]), np.einsum("ij,ij->i", Y[k], Y[k]))
+    ok = gap > DEGENERACY_RTOL * scale
     if not ok.any():
         return np.zeros((X.shape[1], X.shape[1])), 0.0
     alpha = np.zeros_like(gap)
