@@ -106,7 +106,9 @@ def nearest_candidates(screens, rescore, scale: np.ndarray, dim: int, K: int = 1
     screened value, pruned by the final one; ``rescore(q, c)`` gives their
     direct squared distances chunk by chunk, and each query takes the first
     K, as if every candidate were rescored.  A query whose scale is not
-    finite keeps nothing; one that keeps fewer than K raises ``ValueError``.
+    finite (a row or query that is not, or finite ones whose squared norms
+    overflow) keeps nothing; one that keeps fewer than K raises
+    ``ValueError``.
     """
     # Each form is within about 10 (dim + 2) eps scale of the exact distance:
     # a sum of dim + 2 products errs by (dim + 2) eps times the sum of their
@@ -141,7 +143,7 @@ def nearest_candidates(screens, rescore, scale: np.ndarray, dim: int, K: int = 1
         dist[part] = rescore(q[part], c[part])
     counts = np.bincount(q, minlength=scale.size)
     if (counts < K).any():
-        raise ValueError("non-finite distances: rows and queries must be finite")
+        raise ValueError("non-finite distances: a row or query is not finite, or its squared distances overflow")
     order = np.lexsort((c, dist, q))
     first = np.cumsum(counts) - counts
     return c[order[first[:, None] + np.arange(K)]]

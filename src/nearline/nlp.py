@@ -42,7 +42,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of nearest-line projection training."""
+    """Hyperparameters of nearest-line projection training.  A fit converges
+    when its objective changes by at most ``rel_tol`` times the previous
+    objective; at ``rel_tol`` 0 it runs ``max_iters`` iterations."""
 
     method: ClassVar[str] = "nlp"
     K: int
@@ -91,9 +93,10 @@ class TrainedModel:
     from the trace: ``len(objective_trace) - 1``, and 0 for an empty trace.
     The trace and convergence flag default to those of a closed-form fit
     (PCA, LPP): no objective, so no iterations, and converged.  An nlp fit
-    is ``converged`` when its relative objective change dropped below
-    ``rel_tol``, or at once when its start spans the row space (r <= d'),
-    where it runs no iteration; a fit stopped by ``max_iters`` is not.
+    is ``converged`` when an iteration changed its objective by at most
+    ``rel_tol`` (> 0) times the previous one, or at once when its start
+    spans the row space (r <= d'), where it runs no iteration; a fit stopped
+    by ``max_iters`` is not.
     ``step_traces`` records, for each iteration, the trace objective of the
     previous and the updated W under that iteration's fixed scatter operator
     (the updated value can never exceed the previous one).  It is a training
@@ -300,12 +303,14 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     blocked pass sums the next operator.  The
     objective does not rise unless the degenerate-line mask changes between
     two projections; such a change is logged at DEBUG level.  Training stops
-    when the relative objective change drops below ``rel_tol`` or after
-    ``max_iters`` iterations.  The result ``V_r W_z`` is lifted once
-    (``GramEigen.lift``) and, when ``d_prime`` exceeds r, completed with
-    deterministic directions orthogonal to the training rows; that
-    completion refuses a ``d_prime`` above d, after the neighbor search and
-    the start's pass.  Without iterations the result is the principal basis.  When r <= ``d_prime`` (data with a single distinct row,
+    after ``max_iters`` iterations, or once ``rel_tol`` is positive and
+    ``|value - previous| <= rel_tol * |previous|``: a test between two
+    objectives of the same units, so scaling the data changes no stop, and an
+    objective that stays exactly 0 stops after one iteration.  The result
+    ``V_r W_z`` is lifted once (``GramEigen.lift``) and, when ``d_prime``
+    exceeds r, completed with deterministic directions orthogonal to the
+    training rows; that completion refuses a ``d_prime`` above d, after the
+    neighbor search and the start's pass.  Without iterations the result is the principal basis.  When r <= ``d_prime`` (data with a single distinct row,
     r = 0, among them) the start ``W_z = I`` spans the row space, where every
     W_z gives the same objective and the same next operator, so the fit runs
     no iteration, is converged, keeps the start's objective as its only trace
@@ -345,12 +350,12 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
             )
         if not np.isfinite(value):
             raise ValueError(f"non-finite objective at iteration {t}: {value}")
-        rel_change = abs(value - trace[-1]) / max(abs(trace[-1]), 1e-30)
+        change = abs(value - trace[-1])
+        converged = config.rel_tol > 0 and change <= config.rel_tol * abs(trace[-1])
         trace.append(value)
-        if rel_change < config.rel_tol:
-            converged = True
+        if converged:
             break
-        log.debug("iteration %d: objective %.6e (rel change %.3e)", t, value, rel_change)
+        log.debug("iteration %d: objective %.6e (change %.3e)", t, value, change)
 
     if spans_row_space:
         log.debug("stopped at the start: it spans the row space (r = %d <= d' = %d)", r, config.d_prime)

@@ -199,6 +199,17 @@ class TestClassifyNearestLine:
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
                 k_nearest_neighbors(rows, 2)
 
+    def test_overflowing_distances_are_named(self):
+        # finite rows whose squared distances overflow: the screen's products
+        # overflow to inf and inf - inf, so numpy warns before the search raises
+        rows = np.random.default_rng(0).normal(size=(6, 4)) * 1e155
+        overflow = "non-finite distances: .* squared distances overflow"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=overflow):
+                train(Dataset(rows, np.zeros(6, dtype=int)), TrainConfig(K=2, d_prime=2))
+            with pytest.raises(ValueError, match=overflow):
+                classify_1nn(rows, np.arange(6), rows[:2] / 2)
+
 
 def _oracle_is_decided(dists, keys, outcomes) -> bool:
     """True when last-bit rounding cannot change the oracle's answer: every
@@ -730,8 +741,8 @@ def scale_problem(ds, config, seed):
 @st.composite
 def scale_problems(draw):
     """Small labelled data of any rank (0 included), with d < n and d > n and
-    some rows repeated, split in half by class, and an nlp fit at tolerance
-    0, so that it runs its fixed number of iterations."""
+    some rows repeated, split in half by class, and an nlp fit at any of
+    three tolerances, 0 among them."""
     n_classes, per_class = draw(st.integers(1, 3)), draw(st.integers(6, 8))
     n, d = n_classes * per_class, draw(st.integers(1, 24))
     rank = draw(st.integers(0, min(n - 1, d)))
@@ -744,7 +755,7 @@ def scale_problems(draw):
         K=draw(st.integers(2, min(5, n // 2 - 1))),  # the split keeps at least n // 2 rows
         d_prime=draw(st.integers(1, d)),
         max_iters=draw(st.integers(0, 5)),
-        rel_tol=0.0,
+        rel_tol=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
     )
     return scale_problem(ds, config, draw(st.integers(0, 2**16)))
 
@@ -761,6 +772,7 @@ def predictions(classify, T, labels, Q):
 class TestScaleInvariance:
     @given(scale_problems(), st.integers(-60, 60))
     @example(scale_problem(manifold_classes(seed=5), TrainConfig(K=5, d_prime=2, max_iters=30, rel_tol=0.0), 0), -60)
+    @example(scale_problem(manifold_classes(seed=5), TrainConfig(K=5, d_prime=2), 0), -60)
     @settings(deadline=None, max_examples=150)
     def test_power_of_two_scaling_changes_no_fit_and_no_prediction(self, problem, k):
         """Multiplying the rows by s = 2^k is exact in floating point, and
@@ -768,8 +780,9 @@ class TestScaleInvariance:
         rank cut, the screen slack) compares quantities of the same units.
         So the nlp and PCA projections are the same bits, the objective trace
         is exactly 4^k times, and both classifiers predict the same labels on
-        the scaled rows.  At the tolerance 0 the fit's stopping rule never
-        reads the objective's size."""
+        the scaled rows.  The fit's stopping rule compares the objective's
+        change with the previous objective, both scaled by 4^k, so the fit
+        stops at the same iteration at every tolerance."""
         ds, config, (train_idx, test_idx) = problem
 
         def run(s):
@@ -785,6 +798,7 @@ class TestScaleInvariance:
         (nlp_s, pca_s), got = run(2.0**k)
         assert np.array_equal(nlp_s.projection, nlp.projection)
         assert nlp_s.objective_trace == [t * 4.0**k for t in nlp.objective_trace]
+        assert nlp_s.converged == nlp.converged
         assert np.array_equal(pca_s.projection, pca.projection)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b), (a, b)

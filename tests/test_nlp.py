@@ -478,6 +478,20 @@ class TestTrain:
         assert model.objective_trace[-1] == 0.0
         assert model.converged
 
+    def test_zero_objective_stops_after_one_iteration(self):
+        # 5 distinct rows, each repeated 4 times: every row's K = 3 nearest
+        # neighbors are its copies, so every line is degenerate and the
+        # objective is exactly 0, while r = 4 > d' = 2 lets the fit iterate.
+        # A change of 0 is within any positive tolerance of 0, and within
+        # none at tolerance 0.
+        X = np.repeat(np.random.default_rng(0).normal(size=(5, 8)), 4, axis=0)
+        split = TrainingSplit(Dataset(X, np.zeros(20, dtype=int)))
+        assert split.gram.rank == 4
+        model = train(split, TrainConfig(K=3, d_prime=2))
+        assert (model.objective_trace, model.converged) == ([0.0, 0.0], True)
+        model = train(split, TrainConfig(K=3, d_prime=2, rel_tol=0.0))
+        assert (model.objective_trace, model.converged) == ([0.0] * 51, False)
+
     def test_eigensolves_stay_in_row_space(self, monkeypatch):
         n, d = 30, 3000
         shapes = []
@@ -663,10 +677,9 @@ def two_pass_train(ds, config):
         steps.append((old, float(np.trace(W_z.T @ L @ W_z))))
         value = objective(Z, index, W_z)
         objectives.append(value)
-        rel_change = abs(value - previous) / max(abs(previous), 1e-30)
+        converged = config.rel_tol > 0 and abs(value - previous) <= config.rel_tol * abs(previous)
         previous = value
-        if rel_change < config.rel_tol:
-            converged = True
+        if converged:
             break
     return gram.lift(W_z, config.d_prime), objectives, steps, t, converged
 
