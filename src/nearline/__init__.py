@@ -8,7 +8,6 @@ from nearline.data import (
     SplitSpec,
     load_csv,
     load_pgm_dir,
-    random_split,
     save_csv,
     split_indices,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "objective",
     "point_line_sqdist",
     "project",
-    "random_split",
     "run_experiment",
     "run_experiments",
     "save_csv",

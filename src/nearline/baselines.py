@@ -14,7 +14,7 @@ import numpy as np
 
 from nearline.data import Dataset
 from nearline.linalg import orient_columns
-from nearline.nlp import TrainedModel, TrainingSplit
+from nearline.nlp import TrainConfig, TrainedModel, TrainingSplit
 
 log = logging.getLogger(__name__)
 
@@ -34,12 +34,18 @@ class BaselineConfig:
     K: int = 5
 
     def __post_init__(self):
-        if self.method not in ("pca", "lpp"):
+        if METHODS.get(self.method) is not BaselineConfig:
             raise ValueError(f"method must be 'pca' or 'lpp', got {self.method!r}")
         if self.d_prime < 1:
             raise ValueError(f"d_prime must be >= 1, got {self.d_prime}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
+
+
+# Every method by name, with the config class that describes its fits: the
+# CLI's choices, the model file's ``method`` key and the baselines' check all
+# read this table.
+METHODS = {"nlp": TrainConfig, "pca": BaselineConfig, "lpp": BaselineConfig}
 
 
 def train_pca(data: Dataset | TrainingSplit, d_prime: int) -> TrainedModel:

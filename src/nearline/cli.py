@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nearline.baselines import BaselineConfig
+from nearline.baselines import METHODS, BaselineConfig
 from nearline.data import SplitSpec, feature_csv, load_csv, load_pgm_dir
 from nearline.evaluate import CLASSIFIERS, ExperimentError, fit_method, run_experiment, run_experiments
 from nearline.model_io import atomic_write_text, load_model, save_model, save_report
@@ -23,7 +23,6 @@ from nearline.nlp import TrainConfig, TrainingSplit, project
 
 log = logging.getLogger(__name__)
 
-METHODS = ("nlp", "pca", "lpp")
 FORMATS = ("csv", "pgm-dir")
 CLASSIFIER_FLAGS = tuple(name.replace("_", "-") for name in CLASSIFIERS)
 # the flags each command cannot run without, in the order they are checked
@@ -78,9 +77,9 @@ class RunSpec:
     data: str | None = _flag(None)
     format: str = _flag("csv", choices=FORMATS)
     label_col: str = _flag("last")
-    method: str = _flag("nlp", choices=METHODS)
+    method: str = _flag("nlp", choices=tuple(METHODS))
     methods: tuple[str, ...] = _flag((), type=_csv_list)
-    k: int = _flag(5, type=int)
+    k: int = _flag(BaselineConfig.K, type=int)
     dim: int | None = _flag(None, type=int)
     dims: tuple[int, ...] = _flag((), type=_csv_int_list)
     max_iters: int = _flag(TrainConfig.max_iters, type=int)
@@ -122,7 +121,7 @@ def _validate_spec(spec: RunSpec) -> None:
             raise CliValidationError("compare requires --methods with at least 2 methods")
         unknown = [m for m in spec.methods if m not in METHODS]
         if unknown:
-            raise CliValidationError(f"unknown methods: {unknown} (choose from {METHODS})")
+            raise CliValidationError(f"unknown methods: {unknown} (choose from {tuple(METHODS)})")
         if not spec.dims:
             raise CliValidationError("compare requires --dims")
     if spec.command in SIBLINGS and _sibling_path(spec) == Path(spec.out):

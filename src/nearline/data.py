@@ -412,9 +412,3 @@ def split_indices(labels: np.ndarray, spec: SplitSpec, repeat_index: int) -> tup
     if test.size == 0:
         raise ValueError("train_fraction leaves no test samples")
     return train, test
-
-
-def random_split(dataset: Dataset, spec: SplitSpec, repeat_index: int) -> tuple[Dataset, Dataset]:
-    """One repeat of the random split as (train, test) datasets."""
-    train_idx, test_idx = split_indices(dataset.labels, spec, repeat_index)
-    return dataset.subset(train_idx), dataset.subset(test_idx)

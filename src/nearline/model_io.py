@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from nearline.baselines import BaselineConfig
+from nearline.baselines import METHODS
 from nearline.nlp import TrainConfig, TrainedModel
 
 if TYPE_CHECKING:
@@ -50,7 +50,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def config_to_dict(config) -> dict:
-    if not isinstance(config, (TrainConfig, BaselineConfig)):
+    if not isinstance(config, tuple(METHODS.values())):
         raise ValueError(f"unsupported config type {type(config).__name__}")
     return {"method": config.method, **asdict(config)}
 
@@ -62,9 +62,9 @@ def config_from_dict(payload: dict):
     a missing field is an error, except that a baseline's ``K`` takes its
     default."""
     method = payload.get("method")
-    if method not in ("nlp", "pca", "lpp"):
+    cls = METHODS.get(method) if isinstance(method, str) else None
+    if cls is None:
         raise ValueError(f"unknown method in model file: {method!r}")
-    cls = TrainConfig if method == "nlp" else BaselineConfig
     optional = set() if cls is TrainConfig else {"K"}
     missing = [f.name for f in fields(cls) if f.name not in payload and f.name not in optional]
     if missing:

@@ -298,19 +298,20 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     under the current projection, replaces the projection through the eigen
     step, and records the objective of the new one.  The trace starts with
     the objective of the start, so ``objective_trace[t]`` is the objective
-    after t iterations.  One line pass per
-    projection gives its objective and the coefficients from which a second
-    blocked pass sums the next operator.  The
-    objective does not rise unless the degenerate-line mask changes between
-    two projections; such a change is logged at DEBUG level.  Training stops
-    after ``max_iters`` iterations, or once ``rel_tol`` is positive and
-    ``|value - previous| <= rel_tol * |previous|``: a test between two
-    objectives of the same units, so scaling the data changes no stop, and an
-    objective that stays exactly 0 stops after one iteration.  The result
-    ``V_r W_z`` is lifted once (``GramEigen.lift``) and, when ``d_prime``
-    exceeds r, completed with deterministic directions orthogonal to the
-    training rows; that completion refuses a ``d_prime`` above d, after the
-    neighbor search and the start's pass.  Without iterations the result is the principal basis.  When r <= ``d_prime`` (data with a single distinct row,
+    after t iterations.  One line pass per projection gives its objective
+    and the coefficients from which a second blocked pass sums the next
+    operator.  The objective does not rise unless the degenerate-line mask
+    changes between two projections; such a change is logged at DEBUG
+    level.  Training stops after ``max_iters`` iterations, or once
+    ``rel_tol`` is positive and ``|value - previous| <= rel_tol *
+    |previous|``: a test between two objectives of the same units, so
+    scaling the data changes no stop, and an objective that stays exactly 0
+    stops after one iteration.  The result ``V_r W_z`` is lifted once
+    (``GramEigen.lift``) and, when ``d_prime`` exceeds r, completed with
+    deterministic directions orthogonal to the training rows; that
+    completion refuses a ``d_prime`` above d, after the neighbor search and
+    the start's pass.  Without iterations the result is the principal
+    basis.  When r <= ``d_prime`` (data with a single distinct row,
     r = 0, among them) the start ``W_z = I`` spans the row space, where every
     W_z gives the same objective and the same next operator, so the fit runs
     no iteration, is converged, keeps the start's objective as its only trace
@@ -360,7 +361,10 @@ def train(data: Dataset | TrainingSplit, config: TrainConfig) -> TrainedModel:
     if spans_row_space:
         log.debug("stopped at the start: it spans the row space (r = %d <= d' = %d)", r, config.d_prime)
     elif converged:
-        log.debug("converged at iteration %d (rel change below rel_tol = %g)", len(trace) - 1, config.rel_tol)
+        log.debug(
+            "converged at iteration %d (|change| <= rel_tol * |previous| at rel_tol = %g)",
+            len(trace) - 1, config.rel_tol,
+        )
     else:
         log.debug("stopped at max_iters = %d without converging", config.max_iters)
     return TrainedModel(

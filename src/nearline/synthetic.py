@@ -6,6 +6,19 @@ import numpy as np
 
 from nearline.data import Dataset
 
+# manifold_classes: the latent square's half-width, the sheet's curvature, the
+# class offset and the noise on the structure coordinates
+LATENT_EXTENT = 3.0
+CURVATURE = 0.35
+CLASS_OFFSET = 3.0
+MANIFOLD_NOISE = 0.02
+
+# separable_clusters: the offset of a cluster center from the origin, and the
+# noise on the two center coordinates and on the rest
+CLUSTER_SEPARATION = 10.0
+TIGHT_NOISE = 1e-3
+LOOSE_NOISE = 0.1
+
 
 def gaussian_blobs(
     n_per_class: int = 50,
@@ -30,22 +43,20 @@ def manifold_classes(
     n_per_class: int = 50,
     n_classes: int = 3,
     ambient_dim: int = 50,
-    latent_extent: float = 3.0,
-    curvature: float = 0.35,
-    class_offset: float = 3.0,
-    noise: float = 0.02,
     seed: int = 0,
 ) -> Dataset:
     """Classes on noisy curved 2-D sheets embedded in a high-dimensional space.
 
-    Each class samples a latent square, maps it through a shared quadratic
-    sheet, and is shifted by a class-specific offset in two extra structure
-    coordinates; the whole structure is rotated into the ambient space by a
-    fixed orthonormal embedding.  The sheets have large extent, so variance
-    alone does not reveal the class offsets.
+    Each class samples a latent square of half-width ``LATENT_EXTENT``, maps
+    it through a shared quadratic sheet of curvature ``CURVATURE``, and is
+    shifted by ``CLASS_OFFSET`` in one of two extra structure coordinates;
+    the whole structure is rotated into the ambient space by a fixed
+    orthonormal embedding.  The sheets have large extent, so variance alone
+    does not reveal the class offsets.
 
-    The noise is added to the 7 structure coordinates before the embedding,
-    so the rows have rank at most 7 whatever ``ambient_dim`` is.  A
+    The noise, of standard deviation ``MANIFOLD_NOISE``, is added to the 7
+    structure coordinates before the embedding, so the rows have rank at
+    most 7 whatever ``ambient_dim`` is.  A
     projection to more dimensions (``--dims 10`` in the README's comparison)
     exceeds that rank and keeps directions orthogonal to every row.  LPP
     collapses there: when ``ambient_dim`` exceeds the rank it returns
@@ -63,20 +74,20 @@ def manifold_classes(
 
     blocks = []
     for c in range(n_classes):
-        u = rng.uniform(-latent_extent, latent_extent, size=n_per_class)
-        v = rng.uniform(-latent_extent, latent_extent, size=n_per_class)
+        u = rng.uniform(-LATENT_EXTENT, LATENT_EXTENT, size=n_per_class)
+        v = rng.uniform(-LATENT_EXTENT, LATENT_EXTENT, size=n_per_class)
         coords = np.column_stack(
             [
                 u,
                 v,
-                curvature * (u**2 - latent_extent),
-                curvature * (u * v),
-                curvature * (v**2 - latent_extent),
-                np.full(n_per_class, class_offset if c == 1 else 0.0),
-                np.full(n_per_class, class_offset if c == 2 else 0.0),
+                CURVATURE * (u**2 - LATENT_EXTENT),
+                CURVATURE * (u * v),
+                CURVATURE * (v**2 - LATENT_EXTENT),
+                np.full(n_per_class, CLASS_OFFSET if c == 1 else 0.0),
+                np.full(n_per_class, CLASS_OFFSET if c == 2 else 0.0),
             ]
         )
-        coords += noise * rng.normal(size=coords.shape)
+        coords += MANIFOLD_NOISE * rng.normal(size=coords.shape)
         blocks.append(coords)
     structure = np.vstack(blocks)
 
@@ -90,17 +101,16 @@ def separable_clusters(
     n_per_class: int = 12,
     n_classes: int = 3,
     d: int = 8,
-    separation: float = 10.0,
-    tight_noise: float = 1e-3,
-    loose_noise: float = 0.1,
     seed: int = 0,
 ) -> Dataset:
     """Perfectly separated compact clusters.
 
-    Cluster centers differ only in the first two coordinates, where the
-    within-class spread is very small; the remaining coordinates carry
-    moderate class-independent noise.  Any method that keeps the first two
-    coordinates separates the classes exactly.
+    Cluster centers differ only in the first two coordinates: class 0 sits
+    at the origin, and classes 1 and 2 at ``CLUSTER_SEPARATION`` along the
+    first and the second axis.  There the within-class noise is
+    ``TIGHT_NOISE``; the remaining coordinates carry class-independent noise
+    of ``LOOSE_NOISE``.  Any method that keeps the first two coordinates
+    separates the classes exactly.
     """
     if n_classes > 3:
         raise ValueError("at most 3 classes supported (2 center coordinates)")
@@ -109,14 +119,14 @@ def separable_clusters(
     rng = np.random.default_rng(seed)
     centers = np.zeros((n_classes, d))
     if n_classes > 1:
-        centers[1, 0] = separation
+        centers[1, 0] = CLUSTER_SEPARATION
     if n_classes > 2:
-        centers[2, 1] = separation
+        centers[2, 1] = CLUSTER_SEPARATION
     blocks = []
     for c in range(n_classes):
         pts = np.tile(centers[c], (n_per_class, 1))
-        pts[:, :2] += tight_noise * rng.normal(size=(n_per_class, 2))
-        pts[:, 2:] += loose_noise * rng.normal(size=(n_per_class, d - 2))
+        pts[:, :2] += TIGHT_NOISE * rng.normal(size=(n_per_class, 2))
+        pts[:, 2:] += LOOSE_NOISE * rng.normal(size=(n_per_class, d - 2))
         blocks.append(pts)
     labels = np.repeat(np.arange(n_classes), n_per_class)
     return Dataset(np.vstack(blocks), labels)

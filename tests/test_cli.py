@@ -1,18 +1,19 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nearline import cli
-from nearline.baselines import BaselineConfig
+from nearline.baselines import METHODS, BaselineConfig
 from nearline.cli import RunSpec, main
-from nearline.data import SplitSpec, load_pgm_dir, save_csv
+from nearline.data import SplitSpec, load_pgm_dir, save_csv, split_indices
 from nearline.evaluate import fit_method
 from nearline.geometry import BLOCK_ELEMENTS
-from nearline.model_io import save_model
-from nearline.nlp import TrainConfig
+from nearline.model_io import config_from_dict, config_to_dict, save_model
+from nearline.nlp import TrainConfig, TrainingSplit
 from nearline.synthetic import gaussian_blobs, separable_clusters
 
 
@@ -119,6 +120,40 @@ class TestRunSpecRoundTrip:
             fields = dataclasses.fields(config)
             assert dataclasses.asdict(config) == want[type(config)]
             assert all(getattr(config, f.name) != f.default for f in fields if f.default is not dataclasses.MISSING)
+
+
+class TestMethodTable:
+    """Every entry point reads the one method table, ``baselines.METHODS``."""
+
+    TRAIN = ["train", "--data", "x.csv", "--out", "m.json", "--dim", "2"]
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_every_method_builds_round_trips_and_fits(self, method):
+        spec = RunSpec.from_argv([*self.TRAIN, "--method", method])
+        config = cli._method_config(spec, spec.method, spec.dim)
+        assert type(config) is METHODS[method] and config.method == method
+        assert config_from_dict(config_to_dict(config)) == config
+        ds = gaussian_blobs(n_per_class=6, n_classes=3, d=5, seed=1)
+        rows, _ = split_indices(ds.labels, SplitSpec(train_fraction=0.5, seed=0), 0)
+        model = fit_method(TrainingSplit(ds, rows), config)
+        assert model.config == config and model.projection.shape == (5, 2)
+
+    def test_unknown_method_is_refused_everywhere(self):
+        with pytest.raises(cli.CliValidationError, match="argument --method: invalid choice: 'umap'"):
+            RunSpec.from_argv([*self.TRAIN, "--method", "umap"])
+        compare = ["compare", "--data", "x.csv", "--out", "c.csv", "--train-frac", "0.5", "--dims", "2"]
+        message = f"unknown methods: ['umap'] (choose from {tuple(METHODS)})"
+        with pytest.raises(cli.CliValidationError, match=re.escape(message)):
+            RunSpec.from_argv([*compare, "--methods", "nlp,umap"])
+        for method in ("umap", ["nlp"], None):
+            with pytest.raises(ValueError, match=re.escape(f"unknown method in model file: {method!r}")):
+                config_from_dict({"method": method, "d_prime": 2})
+        with pytest.raises(ValueError, match="method must be 'pca' or 'lpp', got 'nlp'"):
+            BaselineConfig(method="nlp", d_prime=2)
+
+    def test_k_defaults_to_the_baselines_k(self):
+        assert {f.name: f.default for f in dataclasses.fields(RunSpec)}["k"] == BaselineConfig.K
+        assert RunSpec.from_argv(self.TRAIN).k == BaselineConfig.K
 
 
 class TestTrainCommand:

@@ -466,7 +466,7 @@ class TestTrain:
         assert stops[0] == ("stopped at the start: it spans the row space (r = 6 <= d' = 6)", 0)
         iterations = stops[1][1]
         assert 1 <= iterations < 50
-        assert stops[1][0] == f"converged at iteration {iterations} (rel change below rel_tol = 0.01)"
+        assert stops[1][0] == f"converged at iteration {iterations} (|change| <= rel_tol * |previous| at rel_tol = 0.01)"
         assert stops[2] == ("stopped at max_iters = 1 without converging", 1)
 
     def test_identical_rows_train_to_zero_objective(self):
